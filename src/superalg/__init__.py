@@ -12,7 +12,6 @@ from .errors import (
     NotAlmostComplex,
     NotAnIdeal,
     NotAScalarSquare,
-    NotCentral,
     NotConstantCoefficient,
     NotEigenfunction,
     ParseError,

@@ -14,6 +14,7 @@ from fractions import Fraction
 from sympy import Poly, symbols
 from sympy.polys.domains import QQ, QQ_I
 
+from .linalg import add_term
 from .scalars import GaussianRational
 
 _GENS = {}
@@ -140,12 +141,5 @@ def poly_partial(a: dict, var: int) -> dict:
     for exps, c in a.items():
         k = exps[var]
         if k:
-            e2 = exps[:var] + (k - 1,) + exps[var + 1 :]
-            acc = out.get(e2)
-            term = c * k
-            acc = term if acc is None else acc + term
-            if acc.is_zero():
-                out.pop(e2, None)
-            else:
-                out[e2] = acc
+            add_term(out, exps[:var] + (k - 1,) + exps[var + 1 :], c * k)
     return out

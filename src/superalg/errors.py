@@ -27,12 +27,6 @@ class ZeroTorusCoordinate(SuperalgError):
     """Torus elements need all coordinates nonzero."""
 
 
-class NotCentral(SuperalgError):
-    """An element expected to lie in the center of the enveloping algebra
-    fails the commutator test.  Signals an implementation bug, not bad
-    user input."""
-
-
 class DegreeTooHigh(SuperalgError):
     """Conjugation pullback only accepts monomial arguments of degree <= 1."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotAlmostComplex, NotAnIdeal
 from .liealg import LieSuperalgebra, vec_add, vec_scale
-from .linalg import rref
+from .linalg import add_term, rref
 from .scalars import GaussianRational, I, ONE, ZERO, gr
 
 
@@ -41,11 +41,7 @@ class JStructure:
                 m = self.matrix[k][i]
                 if m.is_zero():
                     continue
-                acc = out.get(k, ZERO) + c * m
-                if acc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
+                add_term(out, k, c * m)
         return out
 
     def squares_to_minus_id(self) -> bool:
@@ -287,11 +283,9 @@ def realify(g: LieSuperalgebra):
         out = {}
         for k, c in vec.items():
             val = c * (I ** extra_i)
-            if not val.re == 0:
-                out[k] = out.get(k, ZERO) + gr(val.re)
-            if not val.im == 0:
-                out[n + k] = out.get(n + k, ZERO) + gr(val.im)
-        return {k: c for k, c in out.items() if not c.is_zero()}
+            add_term(out, k, gr(val.re))
+            add_term(out, n + k, gr(val.im))
+        return out
 
     table = {}
     for i in range(n):

@@ -18,7 +18,7 @@ import json
 from typing import NamedTuple
 
 from .errors import DegenerateForm, ParseError, ZeroTorusCoordinate
-from .linalg import inv
+from .linalg import add_term, inv
 from .scalars import GaussianRational, ONE, ZERO, gr
 
 EVEN, ODD = 0, 1
@@ -27,11 +27,7 @@ EVEN, ODD = 0, 1
 def vec_add(u: dict, v: dict) -> dict:
     out = dict(u)
     for k, c in v.items():
-        acc = out.get(k, ZERO) + c
-        if acc.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = acc
+        add_term(out, k, c)
     return out
 
 
@@ -80,11 +76,7 @@ class LieSuperalgebra:
         for i, ci in u.items():
             for j, cj in v.items():
                 for k, c in self.bracket(i, j).items():
-                    acc = out.get(k, ZERO) + ci * cj * c
-                    if acc.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
+                    add_term(out, k, ci * cj * c)
         return out
 
     def _validate_structure(self):
@@ -354,17 +346,10 @@ def build_gl(m: int, n: int):
         for (c, d), j in eidx.items():
             vec: dict = {}
             if b == c:
-                k = eidx[(a, d)]
-                vec[k] = vec.get(k, ZERO) + ONE
+                add_term(vec, eidx[(a, d)], ONE)
             if d == a:
                 koszul = -1 if (parities[i] and parities[j]) else 1
-                k = eidx[(c, b)]
-                acc = vec.get(k, ZERO) - gr(koszul)
-                if acc.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = acc
-            vec = {k: c2 for k, c2 in vec.items() if not c2.is_zero()}
+                add_term(vec, eidx[(c, b)], gr(-koszul))
             if vec:
                 table[(i, j)] = vec
 

@@ -8,6 +8,17 @@ in this package stay below a few dozen.
 from __future__ import annotations
 
 
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c on a sparse dict, dropping the key when the sum is zero."""
+    acc = out.get(key)
+    if acc is not None:
+        c = acc + c
+    if c.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
 def mat_mul(a, b, zero):
     n, k = len(a), len(b)
     m = len(b[0]) if k else 0

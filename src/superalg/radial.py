@@ -8,9 +8,13 @@ over a type I root system is
                  / prod_{beta  in R1+} sinh^2(beta(Y)/2)
 
 which is exact in half-weight coordinates because each sinh is a Laurent
-binomial.  j is a scalar-free square root of gamma; once the torus
-Laplacian certifies the eigenfunction identity L(j) = c j, the radial part
-of the order-two Casimir acts as
+binomial.  The Berezinian of the Jacobian in the Cartan + root-vector frame
+equals this closed form times i^|R1|, which is +-1 because odd roots come
+in +/- pairs; a change of frame is a similarity and cannot alter it.
+
+j is a scalar-free square root of gamma; once the torus Laplacian
+certifies the eigenfunction identity L(j) = c j, the radial part of the
+order-two Casimir acts as
 
     D f = j^-1 L(j f) - c f
 
@@ -35,7 +39,7 @@ from .liealg import QuadraticForm, RootSystem
 from .linalg import solve_unique
 from .pbw import cartan_poly_eval, casimir2, project_to_cartan
 from .scalars import GaussianRational, I, ONE, ZERO, gr
-from .smash import TorusElement, gamma_via_sdet
+from .smash import TorusElement, check_frame, gamma_via_sdet
 from .torus import TorusRational, sinh_half, sqrt_scalar_free
 
 
@@ -68,9 +72,14 @@ def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
     """Compare the closed form against the Jacobian superdeterminant at the
     given torus points; pass iff one global sign makes all pairs equal.
 
+    The form enters once: the orthosymplectic frame must bring it to
+    normal form (DegenerateForm otherwise).  The Berezinian itself is
+    frame-independent, so each point is evaluated in the root frame.
+
     Points on the singular locus are skipped with a notice, and the two
     sides must agree on singularity (odd block singular exactly when the
     closed form's denominator vanishes)."""
+    check_frame(rs, form)
     gamma = gamma_closed_form(rs)
     entries = []
     sign = None
@@ -81,7 +90,7 @@ def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
         den_val = gamma.den.eval(point.coords)
         closed_singular = den_val.is_zero()
         try:
-            sdet_val = gamma_via_sdet(rs, form, point)
+            sdet_val = gamma_via_sdet(rs, point)
             sdet_singular = False
         except SingularOddBlock:
             sdet_val = None
@@ -174,11 +183,12 @@ class RadialOperator:
         when the ratio is not a scalar."""
         if j.is_zero():
             raise NotEigenfunction("j must be nonzero")
-        ratio = laplacian.apply(j) / j
+        lj = laplacian.apply(j)
+        ratio = lj / j
         if not ratio.is_scalar():
             raise NotEigenfunction("L(j)/j is not constant")
         c = ratio.scalar_value()
-        if not (laplacian.apply(j) == j * c):
+        if not (lj == j * c):
             raise NotEigenfunction("eigen identity failed to certify")
         return cls(j, laplacian, c)
 

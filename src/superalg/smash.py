@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegreeTooHigh, ZeroTorusCoordinate
+from .errors import DegenerateForm, DegreeTooHigh, ZeroTorusCoordinate
 from .liealg import LieSuperalgebra, QuadraticForm, RootSystem, ad_eigenvalue
-from .linalg import inv, mat_mul
+from .linalg import add_term, inv, mat_mul
 from .pbw import (
     Monomial,
     monomial_degree,
@@ -140,12 +140,7 @@ class SmashElement:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key, None)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            add_term(out, key, c)
         return SmashElement(self.alg, out)
 
     def __neg__(self):
@@ -209,11 +204,7 @@ def smash_multiply(u: SmashElement, v: SmashElement) -> SmashElement:
     for k1, c1 in u.terms.items():
         for k2, c2 in v.terms.items():
             for key, c in _term_product(u.alg, k1, k2).items():
-                acc = out.get(key, ZERO) + c1 * c2 * c
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                add_term(out, key, c1 * c2 * c)
     return SmashElement(u.alg, out)
 
 
@@ -251,12 +242,7 @@ class TensorElement:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key, None)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            add_term(out, key, c)
         return TensorElement(self.alg, self.legs, out)
 
     def scale(self, s) -> "TensorElement":
@@ -297,11 +283,7 @@ class TensorElement:
                             new_combos.append((key_prefix + (leg_key,), coeff * leg_c))
                     combos = new_combos
                 for key, coeff in combos:
-                    acc = out.get(key, ZERO) + coeff
-                    if acc.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    add_term(out, key, coeff)
         return TensorElement(alg, self.legs, out)
 
 
@@ -335,12 +317,7 @@ def coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
         a, mon = key[leg]
         inner = coproduct(SmashElement(alg, {(a, mon): ONE}))
         for ikey, ic in inner.terms.items():
-            new_key = key[:leg] + ikey + key[leg + 1 :]
-            acc = out.get(new_key, ZERO) + c * ic
-            if acc.is_zero():
-                out.pop(new_key, None)
-            else:
-                out[new_key] = acc
+            add_term(out, key[:leg] + ikey + key[leg + 1 :], c * ic)
     return TensorElement(alg, t.legs + 1, out)
 
 
@@ -412,12 +389,7 @@ def _counit_contract(t: TensorElement, leg: int) -> SmashElement:
         a, mon = key[leg]
         if mon:
             continue
-        other = key[1 - leg]
-        acc = out.get(other, ZERO) + c
-        if acc.is_zero():
-            out.pop(other, None)
-        else:
-            out[other] = acc
+        add_term(out, key[1 - leg], c)
     return SmashElement(alg, out)
 
 
@@ -431,12 +403,7 @@ def _twist(t: TensorElement) -> TensorElement:
             if term_parity(alg, k1) and term_parity(alg, k2)
             else ONE
         )
-        key = (k2, k1)
-        acc = out.get(key, ZERO) + c * sign
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        add_term(out, (k2, k1), c * sign)
     return TensorElement(alg, 2, out)
 
 
@@ -578,9 +545,9 @@ def orthosymplectic_frame(rs: RootSystem, form: QuadraticForm):
     Even pairs contribute X_eps + X_-eps and i (X_eps - X_-eps); odd pairs
     form symplectic couples (X_beta, X_-beta / b(X_beta, X_-beta)).  The
     even vectors are left unnormalized: the normalizing constant would be a
-    square root of 2 b(X_eps, X_-eps), which Q(i) does not contain, and the
-    Berezinian below is conjugation-invariant so the scale cancels anyway.
-    Returns (F_even, F_odd) as column matrices in the jacobian_at frame.
+    square root of 2 b(X_eps, X_-eps), which Q(i) does not contain.
+    Returns (F_even, F_odd) as column matrices in the jacobian_at frame;
+    DegenerateForm when an odd root pairs to zero with its opposite.
     """
     even_ids, odd_ids = _root_orders(rs)
     even_pos = {idx: k for k, idx in enumerate(even_ids)}
@@ -608,33 +575,45 @@ def orthosymplectic_frame(rs: RootSystem, form: QuadraticForm):
         mate = rs.negative_of(root)
         pairing = form.b(root.index, mate.index)
         if pairing.is_zero():
-            raise ValueError("degenerate odd root pairing")
+            raise DegenerateForm("degenerate odd root pairing")
         fo[odd_pos[root.index]][col] = ONE
         fo[odd_pos[mate.index]][col + 1] = pairing.inverse()
         col += 2
     return fe, fo
 
 
-def gamma_via_sdet(rs: RootSystem, form: QuadraticForm, a: TorusElement) -> GaussianRational:
-    """Berezinian of the conjugation Jacobian at (a, e), computed in an
-    orthosymplectic-style frame; defined up to one global sign per algebra.
+def _gram_in_frame(form: QuadraticForm, ids, frame):
+    """F^T B F: the form on the frame columns, B restricted to ids."""
+    block = [[form.b(i, j) for j in ids] for i in ids]
+    transposed = [list(col) for col in zip(*frame)]
+    return mat_mul(mat_mul(transposed, block, ZERO), frame, ZERO)
+
+
+def check_frame(rs: RootSystem, form: QuadraticForm) -> None:
+    """Certify the orthosymplectic frame: both blocks are invertible, the
+    form is diagonal with nonzero entries on the even columns, and a direct
+    sum of [[0, 1], [-1, 0]] on the odd columns.  Raises DegenerateForm
+    otherwise."""
+    fe, fo = orthosymplectic_frame(rs, form)
+    if inv(fe, ZERO, ONE) is None or inv(fo, ZERO, ONE) is None:
+        raise DegenerateForm("frame construction failed")
+    even_ids, odd_ids = _root_orders(rs)
+    for i, row in enumerate(_gram_in_frame(form, even_ids, fe)):
+        for j, x in enumerate(row):
+            if x.is_zero() == (i == j):
+                raise DegenerateForm("frame does not diagonalize the even form")
+    symplectic = [[ZERO] * len(fo) for _ in fo]
+    for c in range(0, len(fo), 2):
+        symplectic[c][c + 1], symplectic[c + 1][c] = ONE, -ONE
+    if _gram_in_frame(form, odd_ids, fo) != symplectic:
+        raise DegenerateForm("frame does not make the odd form symplectic")
+
+
+def gamma_via_sdet(rs: RootSystem, a: TorusElement) -> GaussianRational:
+    """Berezinian of the conjugation Jacobian at (a, e) in the Cartan +
+    root-vector frame.  A change of frame is a similarity, which leaves the
+    Berezinian unchanged, so no other frame gives a different value.
 
     Raises SingularOddBlock when some odd root has Ad eigenvalue 1 (the
     point lies outside the generic locus)."""
-    jac = jacobian_at(rs, a)
-    fe, fo = orthosymplectic_frame(rs, form)
-    fe_inv = inv(fe, ZERO, ONE)
-    fo_inv = inv(fo, ZERO, ONE)
-    if fe_inv is None or fo_inv is None:
-        raise ValueError("frame construction failed")
-    a_block = mat_mul(mat_mul(fe_inv, [list(r) for r in jac.a], ZERO), fe, ZERO)
-    d_block = mat_mul(mat_mul(fo_inv, [list(r) for r in jac.d], ZERO), fo, ZERO)
-    framed = SuperMatrix(
-        jac.p,
-        jac.q,
-        a_block,
-        [[ZERO] * jac.q for _ in range(jac.p)],
-        [[ZERO] * jac.p for _ in range(jac.q)],
-        d_block,
-    )
-    return framed.berezinian()
+    return jacobian_at(rs, a).berezinian()

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from ._polytools import is_unit_dict, poly_div_exact, poly_factors, poly_gcd, poly_partial
 from .errors import NotAScalarSquare
+from .linalg import add_term
 from .scalars import GaussianRational, ONE, ZERO, gr
 
 Exps = tuple
@@ -60,6 +61,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return LaurentPoly, (self.nvars, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -111,11 +115,7 @@ class LaurentPoly:
         self._check(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            acc = out.get(exps, ZERO) + c
-            if acc.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
+            add_term(out, exps, c)
         return LaurentPoly(self.nvars, out)
 
     __radd__ = __add__
@@ -142,12 +142,7 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(key, ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -272,6 +267,10 @@ class TorusRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusRational is immutable")
+
+    def __reduce__(self):
+        # the pair is already canonical: rebuild it without a gcd
+        return _make_reduced, (self.num, self.den)
 
     @property
     def nvars(self) -> int:

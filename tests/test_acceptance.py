@@ -108,7 +108,7 @@ def test_03_centrality():
             g, form, _ = build_gl(*mn)
             assert is_central(casimir2(g, form), g)["pass"]
             for k in (1, 2, 3):
-                gi = gelfand_invariant(g, k)  # certifies centrality internally
+                gi = gelfand_invariant(g, k)
                 assert is_central(gi, g)["pass"]
 
 
@@ -140,7 +140,7 @@ def test_05_gamma_formula():
         g, form, rs = build_gl(1, 1)
         a = TorusElement((gr(2), gr(1)))
         closed = gamma_closed_form(rs).eval(a.coords)
-        sdet = gamma_via_sdet(rs, form, a)
+        sdet = gamma_via_sdet(rs, a)
         assert closed == gr(Fraction(4, 9))
         assert sdet in (gr(Fraction(4, 9)), gr(Fraction(-4, 9)))
 
@@ -160,7 +160,7 @@ def test_06_singular_locus():
             gamma = gamma_closed_form(rs)
             assert gamma.den.eval(coords).is_zero()
             with pytest.raises(SingularOddBlock):
-                gamma_via_sdet(rs, form, TorusElement(coords))
+                gamma_via_sdet(rs, TorusElement(coords))
 
 
 def test_07_eigenfunction_hypothesis():

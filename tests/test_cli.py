@@ -283,3 +283,51 @@ class TestEntryPoint:
         assert status == 1 and rep["pass"] is False
         status, rep = run_main(["complexify", "--algebra", "gl:1,1"], capsys)
         assert status == 0 and rep["pass"] is True
+
+
+class TestCheckFailures:
+    def test_non_central_gelfand_exits_1_with_witness(self, capsys, monkeypatch):
+        import superalg.cli as cli
+        from superalg.pbw import PBWElement
+
+        real = cli.gelfand_invariant
+        monkeypatch.setattr(
+            cli,
+            "gelfand_invariant",
+            lambda g, k: real(g, k) + PBWElement.generator(g, 0),
+        )
+        status, rep = run_main(
+            ["casimir", "--algebra", "gl:1,1", "--kind", "gelfand", "--order", "2",
+             "--check-central"],
+            capsys,
+        )
+        assert status == 1 and rep["pass"] is False
+        row = rep["results"][0]
+        assert row["check"] == "central" and row["pass"] is False
+        assert row["witness"]["generator"]
+
+    @pytest.mark.parametrize("command", ["gamma-check", "radial"])
+    @pytest.mark.parametrize(
+        "defect", ["odd-pairing-zero", "mate-pairing-doubled", "cartan-null"]
+    )
+    def test_degenerate_frame_exits_2(self, command, defect, capsys, tmp_path):
+        from superalg.liealg import QuadraticForm
+
+        g, form, rs = build_gl(1, 1)
+        i12, i21 = g.names.index("E12"), g.names.index("E21")  # X_beta, X_-beta
+        gram = [list(row) for row in form.gram]
+        if defect == "odd-pairing-zero":
+            gram[i12][i21] = gram[i21][i12] = gr(0)
+        elif defect == "mate-pairing-doubled":
+            gram[i21][i12] = gram[i21][i12] * 2
+        else:
+            i11 = g.names.index("E11")
+            gram[i11][i11] = gr(0)
+        path = tmp_path / "gl11.json"
+        path.write_text(json.dumps(dump_definition(g, QuadraticForm(gram), rs)))
+        status = main([command, "--file", str(path), "--points", "2"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith("error:")
+        assert "DegenerateForm" in captured.err
+        assert captured.out == ""

@@ -156,7 +156,7 @@ class TestGammaOracle:
         sigma = None
         for a in pts:
             closed = gamma.eval(a.coords)
-            sdet = gamma_via_sdet(rs, form, a)
+            sdet = gamma_via_sdet(rs, a)
             if closed.is_zero():
                 continue
             this = closed / sdet
@@ -189,7 +189,7 @@ class TestGammaOracle:
             gamma = gamma_closed_form(rs)
             assert gamma.den.eval(coords).is_zero()
             with pytest.raises(SingularOddBlock):
-                gamma_via_sdet(rs, form, TorusElement(coords))
+                gamma_via_sdet(rs, TorusElement(coords))
 
 
 class TestRadialOperator:

@@ -79,3 +79,12 @@ def test_interop_with_int_and_fraction():
     assert 2 * gr(1, 1) == gr(2, 2)
     assert gr(1) / 2 == gr(Fraction(1, 2))
     assert Fraction(1, 3) + gr(Fraction(2, 3)) == ONE
+
+
+@given(scalars)
+def test_pickle_round_trip(x):
+    import pickle
+
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and hash(y) == hash(x)
+    assert y.to_json() == x.to_json()

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superalg.errors import DegreeTooHigh, SingularOddBlock, ZeroTorusCoordinate
+from superalg.linalg import inv, mat_mul
 from superalg.pbw import pbw_normalize
 from superalg.sampling import rand_smash_element, rand_torus_coords, rng
 from superalg.scalars import gr, ONE, ZERO
@@ -20,6 +21,31 @@ from superalg.smash import (
     orthosymplectic_frame,
     smash_multiply,
 )
+from superalg.supermatrix import SuperMatrix
+
+
+def regular_points(rs, count, seed):
+    from superalg.liealg import ad_eigenvalue
+
+    r = rng(seed)
+    out = []
+    while len(out) < count:
+        coords = rand_torus_coords(r, rs.rank)
+        if all(ad_eigenvalue(rs, coords, root.index) != ONE for root in rs.odd_roots):
+            out.append(TorusElement(coords))
+    return out
+
+
+def framed_berezinian(rs, form, a):
+    """Berezinian of F^-1 J F, J the Jacobian at a and F the
+    orthosymplectic frame."""
+    jac = jacobian_at(rs, a)
+    fe, fo = orthosymplectic_frame(rs, form)
+    a_block = mat_mul(mat_mul(inv(fe, ZERO, ONE), [list(r) for r in jac.a], ZERO), fe, ZERO)
+    d_block = mat_mul(mat_mul(inv(fo, ZERO, ONE), [list(r) for r in jac.d], ZERO), fo, ZERO)
+    b_block = [[ZERO] * jac.q for _ in range(jac.p)]
+    c_block = [[ZERO] * jac.p for _ in range(jac.q)]
+    return SuperMatrix(jac.p, jac.q, a_block, b_block, c_block, d_block).berezinian()
 
 
 @pytest.fixture(scope="module")
@@ -230,14 +256,14 @@ class TestConjugationPullback:
 
 class TestJacobian:
     def test_identity_point(self, gl11):
-        _, form, rs = gl11
+        _, _, rs = gl11
         e = TorusElement.identity(2)
         jac = jacobian_at(rs, e)
         assert jac.is_block_diagonal()
         assert all(jac.a[i][i] == ONE for i in range(jac.p))
         assert all(jac.d[i][i] == ZERO for i in range(jac.q))
         with pytest.raises(SingularOddBlock):
-            gamma_via_sdet(rs, form, e)
+            gamma_via_sdet(rs, e)
 
     def test_gl11_example_point(self, gl11):
         _, form, rs = gl11
@@ -289,13 +315,22 @@ class TestJacobian:
 
 class TestGammaSdet:
     def test_spot_value(self, gl11):
-        _, form, rs = gl11
-        val = gamma_via_sdet(rs, form, TorusElement((gr(2), gr(1))))
+        _, _, rs = gl11
+        val = gamma_via_sdet(rs, TorusElement((gr(2), gr(1))))
         assert val in (gr(Fraction(4, 9)), gr(Fraction(-4, 9)))
 
     def test_frame_is_symplectic_on_odd_part(self, gl21):
         g, form, rs = gl21
         fe, fo = orthosymplectic_frame(rs, form)
+        # columns of fe are b-orthogonal and none is b-null
+        even_ids = list(rs.cartan) + [r.index for r in rs.even_roots]
+        cols = [
+            {even_ids[k]: fe[k][c] for k in range(len(fe)) if not fe[k][c].is_zero()}
+            for c in range(len(fe))
+        ]
+        for c, u in enumerate(cols):
+            for d, v in enumerate(cols):
+                assert form.b_vec(u, v).is_zero() == (c != d)
         # columns of fo pair odd roots into couples with b(u, v) = 1
         odd_ids = [r.index for r in rs.odd_roots]
         ncols = len(fo)
@@ -317,19 +352,23 @@ class TestGammaSdet:
             u = rand_smash_element(alg11, r, max_terms=3, degree_cap=3)
             assert antipode(antipode(u)) == u
 
-    def test_matches_root_frame_determinants(self, gl21):
+    def test_matches_root_frame_determinants(self, gl21, gl22):
         # frame conjugation cannot change the Berezinian
         from superalg.linalg import det
 
-        _, form, rs = gl21
+        _, _, rs = gl21
         r = rng(41)
         for _ in range(10):
             a = TorusElement(rand_torus_coords(r, 3))
             jac = jacobian_at(rs, a)
             try:
-                val = gamma_via_sdet(rs, form, a)
+                val = gamma_via_sdet(rs, a)
             except SingularOddBlock:
                 continue
             det_odd = det([list(row) for row in jac.d], ZERO)
             det_even = det([list(row) for row in jac.a], ZERO)
             assert val == det_even / det_odd
+        # the Berezinian of F^-1 J F in the orthosymplectic frame agrees
+        for (_, form, rs), seed in ((gl21, 42), (gl22, 43)):
+            for a in regular_points(rs, 10, seed):
+                assert framed_berezinian(rs, form, a) == gamma_via_sdet(rs, a)

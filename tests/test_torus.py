@@ -173,3 +173,19 @@ class TestSqrtScalarFree:
             sqrt_scalar_free(s)
         with pytest.raises(NotAScalarSquare):
             sqrt_scalar_free(TorusRational.monomial(2, (1, 0)))
+
+
+class TestPickle:
+    def test_round_trip_keeps_canonical_form(self):
+        import pickle
+
+        p = LaurentPoly(2, {(1, -1): gr(Fraction(1, 2)), (0, 2): gr(0, 3)})
+        f = sinh_half(2, (1, -1)) / (cosh_half(2, (1, 1)) * 3)
+        for x in (p, f, TorusRational(p)):
+            y = pickle.loads(pickle.dumps(x))
+            assert y == x and hash(y) == hash(x)
+            assert y.to_json() == x.to_json()
+        # canonicalizing the unpickled pair again changes nothing
+        y = pickle.loads(pickle.dumps(f))
+        again = TorusRational(y.num, y.den)
+        assert (again.num, again.den) == (y.num, y.den)
