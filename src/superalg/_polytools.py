@@ -9,13 +9,11 @@ GaussianRational coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from sympy import Poly, symbols
 from sympy.polys.domains import QQ, QQ_I
 
 from .linalg import add_term
-from .scalars import GaussianRational
+from .scalars import GaussianRational, from_parts
 
 _GENS = {}
 
@@ -27,17 +25,13 @@ def _gens(n: int):
 
 
 def _to_qqi(c: GaussianRational):
-    return QQ_I.new(
-        QQ(c.re.numerator, c.re.denominator),
-        QQ(c.im.numerator, c.im.denominator),
-    )
+    a, b, d = c.parts()
+    return QQ_I.new(QQ(a, d), QQ(b, d))
 
 
 def _from_qqi(e) -> GaussianRational:
-    return GaussianRational(
-        Fraction(int(e.x.numerator), int(e.x.denominator)),
-        Fraction(int(e.y.numerator), int(e.y.denominator)),
-    )
+    xd, yd = int(e.x.denominator), int(e.y.denominator)
+    return from_parts(int(e.x.numerator) * yd, int(e.y.numerator) * xd, xd * yd)
 
 
 def _to_poly(terms: dict, n: int) -> Poly:
@@ -54,12 +48,17 @@ def _from_poly(p: Poly) -> dict:
 
 
 def _is_real(terms: dict) -> bool:
-    return all(not c.im for c in terms.values())
+    return all(c.is_real() for c in terms.values())
+
+
+def _to_qq(c: GaussianRational):
+    a, _, d = c.parts()
+    return QQ(a, d)
 
 
 def _to_poly_real(terms: dict, n: int) -> Poly:
     return Poly.from_dict(
-        {k: QQ(v.re.numerator, v.re.denominator) for k, v in terms.items()},
+        {k: _to_qq(v) for k, v in terms.items()},
         *_gens(n),
         domain=QQ,
     )
@@ -68,7 +67,7 @@ def _to_poly_real(terms: dict, n: int) -> Poly:
 def _from_poly_real(p: Poly) -> dict:
     out = {}
     for exps, c in p.rep.to_dict().items():
-        g = GaussianRational(Fraction(int(c.numerator), int(c.denominator)))
+        g = from_parts(int(c.numerator), 0, int(c.denominator))
         if not g.is_zero():
             out[tuple(int(e) for e in exps)] = g
     return out

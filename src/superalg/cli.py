@@ -48,6 +48,7 @@ from .radial import (
     default_weights,
     extract_P,
     leading_term_match,
+    weights_needed,
 )
 from .sampling import rand_torus_coords, rng
 from .smash import SmashAlgebra, TorusElement, check_hopf_axioms
@@ -86,7 +87,11 @@ class RunConfig:
     def effective_degree_cap(self) -> int:
         if self.degree_cap is not None:
             return self.degree_cap
-        return int(os.environ.get(DEGREE_CAP_ENV, "2"))
+        raw = os.environ.get(DEGREE_CAP_ENV, "2")
+        try:
+            return _at_least(0)(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ParseError(f"{DEGREE_CAP_ENV}: {exc}") from exc
 
 
 def _load_algebra(config: RunConfig, need_roots=False, need_form=False):
@@ -189,6 +194,8 @@ def _cmd_check_jacobi(config: RunConfig):
 def _cmd_casimir(config: RunConfig):
     g, form, rs, _ = _load_algebra(config, need_form=True)
     kind = config.kind or ("casimir2" if config.order == 2 else "gelfand")
+    if kind == "casimir2" and config.order != 2:
+        raise ParseError(f"casimir2 has order 2, not --order {config.order}")
     if kind == "casimir2":
         elem = casimir2(g, form)
     elif kind == "gelfand":
@@ -264,6 +271,9 @@ def _cmd_gamma(config: RunConfig):
 
 def _cmd_radial(config: RunConfig):
     g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True)
+    need = weights_needed(rs.rank)
+    if config.weights < need:
+        raise ParseError(f"--weights must be at least {need} for torus rank {rs.rank}")
     points = _sample_points(rs, config.points, config.seed)
     gamma_rep = check_gamma_oracle(rs, form, points)
     op = build_radial(rs, form)
@@ -291,6 +301,8 @@ def _cmd_radial(config: RunConfig):
 
 def _cmd_complexify(config: RunConfig):
     g, _, _, _ = _load_algebra(config)
+    if any(i >= g.dim for i in config.ideal):
+        raise ParseError(f"--ideal indices must be below the dimension {g.dim}")
     try:
         pair = complexify(g, list(config.ideal))
     except NotAnIdeal as exc:
@@ -363,6 +375,26 @@ def raise_for_status(report: dict):
         raise CheckFailed(f"failing checks: {', '.join(failing) or 'unknown'}")
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _index_list(text: str) -> list:
+    """argparse type: comma-separated non-negative generator indices."""
+    return [_at_least(0)(x.strip()) for x in text.split(",") if x.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superalg",
@@ -373,17 +405,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--algebra", help="builder spec, e.g. gl:2,1")
         p.add_argument("--file", help="algebra definition JSON file")
-        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--samples", type=_at_least(1), default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--degree-cap", type=int, default=None, dest="degree_cap")
-        p.add_argument("--points", type=int, default=20)
-        p.add_argument("--weights", type=int, default=12)
-        p.add_argument("--order", type=int, default=2)
+        p.add_argument("--degree-cap", type=_at_least(0), default=None, dest="degree_cap")
+        p.add_argument("--points", type=_at_least(1), default=20)
+        p.add_argument("--weights", type=_at_least(1), default=12)
+        p.add_argument("--order", type=_at_least(1), default=2)
         p.add_argument("--kind", choices=["casimir2", "gelfand"], default=None)
         p.add_argument("--check-central", action="store_true", dest="check_central")
         p.add_argument(
             "--ideal",
-            default="",
+            type=_index_list,
+            default=[],
             help="comma-separated generator indices spanning the ideal",
         )
         p.add_argument("--output", help="report file (default: stdout)")
@@ -393,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    ideal = [int(x) for x in args.ideal.split(",") if x.strip() != ""] if args.ideal else []
     config = RunConfig(
         command=args.command,
         algebra=args.algebra,
@@ -406,7 +438,7 @@ def main(argv=None) -> int:
         order=args.order,
         kind=args.kind,
         check_central=args.check_central,
-        ideal=ideal,
+        ideal=args.ideal,
         output=args.output,
     )
     try:

@@ -109,6 +109,9 @@ class PBWElement:
     def __setattr__(self, name, value):
         raise AttributeError("PBWElement is immutable")
 
+    def __reduce__(self):
+        return PBWElement, (self.alg, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

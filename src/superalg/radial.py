@@ -245,6 +245,11 @@ def default_weights(t: int, count: int):
     return out[:count]
 
 
+def weights_needed(t: int) -> int:
+    """Fewest weights that determine a degree-2 polynomial in t variables."""
+    return len(_quadratic_exponents(t))
+
+
 def _quadratic_exponents(t: int):
     exps = [tuple(0 for _ in range(t))]
     for i in range(t):

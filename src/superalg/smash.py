@@ -48,6 +48,9 @@ class TorusElement:
     def __setattr__(self, name, value):
         raise AttributeError("TorusElement is immutable")
 
+    def __reduce__(self):
+        return TorusElement, (self.coords,)
+
     @classmethod
     def identity(cls, t: int) -> "TorusElement":
         return cls((ONE,) * t)
@@ -131,6 +134,9 @@ class SmashElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("SmashElement is immutable")
+
+    def __reduce__(self):
+        return SmashElement, (self.alg, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -236,6 +242,9 @@ class TensorElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")
+
+    def __reduce__(self):
+        return TensorElement, (self.alg, self.legs, self.terms)
 
     def __add__(self, other):
         if not isinstance(other, TensorElement) or other.legs != self.legs:

@@ -45,6 +45,10 @@ class SuperMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SuperMatrix is immutable")
 
+    def __reduce__(self):
+        return SuperMatrix, (self.p, self.q, self.a, self.b, self.c, self.d,
+                             self.zero, self.one)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod

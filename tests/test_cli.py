@@ -331,3 +331,42 @@ class TestCheckFailures:
         assert captured.err.startswith("error:")
         assert "DegenerateForm" in captured.err
         assert captured.out == ""
+
+
+class TestInputBoundary:
+    """Malformed input exits 2 with an error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build", "--ideal", "x"], "--ideal"),
+            (["complexify", "--ideal", "99"], "--ideal"),
+            (["casimir", "--order", "0"], "--order"),
+            (["hopf-check", "--degree-cap", "-1", "--samples", "3"], "--degree-cap"),
+            (["radial", "--weights", "2"], "--weights"),
+            (["gamma-check", "--points", "-3"], "--points"),
+            (["casimir", "--kind", "casimir2", "--order", "3"], "--order 3"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, argv, message, capsys):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument itself
+            status = exc.code
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert "error:" in lines[-1] and message in lines[-1]
+        assert "Traceback" not in captured.err
+
+    def test_bad_degree_cap_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERALG_DEGREE_CAP", "-1")
+        status = main(["hopf-check", "--algebra", "gl:1,1", "--samples", "3"])
+        captured = capsys.readouterr()
+        assert status == 2 and captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_casimir2_at_its_own_order_still_runs(self, capsys):
+        status, rep = run_main(["casimir", "--kind", "casimir2", "--order", "2"], capsys)
+        assert status == 0 and rep["values"]["order"] == 2

@@ -229,3 +229,16 @@ def json_round(data):
     import json
 
     return json.loads(json.dumps(data))
+
+
+def test_pickle_round_trip(gl11):
+    import pickle
+
+    g, form, _ = gl11
+    c2 = casimir2(g, form)
+    back = pickle.loads(pickle.dumps(c2))
+    # == compares the algebra by identity, and unpickling builds a new one
+    assert back.terms == c2.terms
+    assert back.alg.names == c2.alg.names
+    with pytest.raises(AttributeError):
+        back.terms = {}

@@ -372,3 +372,25 @@ class TestGammaSdet:
         for (_, form, rs), seed in ((gl21, 42), (gl22, 43)):
             for a in regular_points(rs, 10, seed):
                 assert framed_berezinian(rs, form, a) == gamma_via_sdet(rs, a)
+
+
+class TestPickle:
+    def test_torus_element(self):
+        import pickle
+
+        a = TorusElement((gr(2), gr(Fraction(1, 3), -1)))
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and hash(back) == hash(a)
+
+    def test_smash_and_tensor_elements(self, alg11):
+        import pickle
+
+        r = rng(17)
+        for _ in range(5):
+            u = rand_smash_element(alg11, r)
+            back = pickle.loads(pickle.dumps(u))
+            assert back.terms == u.terms
+            assert back.alg.g.names == alg11.g.names
+            t = coproduct(u)
+            t_back = pickle.loads(pickle.dumps(t))
+            assert t_back == t and t_back.legs == t.legs

@@ -70,3 +70,15 @@ def test_torus_entries():
 def test_shape_validation():
     with pytest.raises(ValueError):
         SuperMatrix(1, 1, [[ONE, ONE]], [[ZERO]], [[ZERO]], [[ONE]])
+
+
+def test_pickle_round_trip():
+    import pickle
+
+    m = SuperMatrix(1, 1, [[gr(3)]], [[gr(2, 1)]], [[gr(5)]], [[gr(Fraction(7, 2))]])
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and hash(back) == hash(m)
+    assert berezinian(back) == berezinian(m)
+    s = sinh_half(2, (1, -1))
+    m = SuperMatrix.diagonal([s * s], [s], zero=TorusRational.zero(2), one=TorusRational.one(2))
+    assert berezinian(pickle.loads(pickle.dumps(m))) == s
