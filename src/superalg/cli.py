@@ -22,6 +22,7 @@ from .errors import (
     CheckFailed,
     NotAnIdeal,
     ParseError,
+    SingularPoint,
     SuperalgError,
     UnsupportedAlgebra,
 )
@@ -139,7 +140,10 @@ def _sample_points(rs, count: int, seed: int):
     while len(points) < count:
         guard += 1
         if guard > 200 * count:
-            raise RuntimeError("rejection sampling failed to find regular points")
+            raise SingularPoint(
+                f"no regular torus point in {200 * count} draws: each had "
+                "an odd root with Ad eigenvalue 1"
+            )
         coords = rand_torus_coords(r, rs.rank)
         ok = True
         for root in rs.odd_roots:
@@ -199,7 +203,10 @@ def _cmd_casimir(config: RunConfig):
     if kind == "casimir2":
         elem = casimir2(g, form)
     elif kind == "gelfand":
-        elem = gelfand_invariant(g, config.order)
+        try:
+            elem = gelfand_invariant(g, config.order)
+        except ValueError as exc:  # a definition file carries no builder metadata
+            raise UnsupportedAlgebra(f"{exc} (use --algebra gl:m,n)") from exc
     else:
         raise UnsupportedAlgebra(f"unknown casimir kind {kind!r}")
     results = []
@@ -236,7 +243,10 @@ def _cmd_hopf(config: RunConfig):
 def _cmd_jstruct(config: RunConfig):
     g, form, rs, jm = _load_algebra(config)
     if jm is not None:
-        j = JStructure(jm)
+        try:
+            j = JStructure(jm)
+        except ValueError as exc:
+            raise ParseError(f"J in {config.file}: {exc}") from exc
         target = g
     else:
         # canonical demonstration pair: restriction of scalars with J = mult by i

@@ -10,6 +10,13 @@ the coproduct makes torus points group-like and algebra generators
 primitive; the antipode is s(g # X) = -g^-1 # Ad(g)(X) on degree-one
 tensors, s(g # 1) = g^-1 # 1, extended as an algebra antihomomorphism with
 Koszul signs.
+
+Every key of every element holds a torus point, so points hash once, from
+the integer triples of their coordinates, when they are built.  The product
+of two terms skips the work its trivial legs make redundant: no Ad scalar
+for an identity point on the right or an empty monomial on the left, no
+torus product with the identity, and no PBW rewriting when either monomial
+is empty.
 """
 
 from __future__ import annotations
@@ -31,9 +38,15 @@ from .supermatrix import SuperMatrix
 
 
 class TorusElement:
-    """Point of the torus, coordinates z_i = value of exp(y_i/2)."""
+    """Point of the torus, coordinates z_i = value of exp(y_i/2).
 
-    __slots__ = ("coords",)
+    The hash is computed once, at construction, from the reduced integer
+    triples of the coordinates (`GaussianRational.parts`).  Each triple is
+    unique for its value, so points that compare equal hash equally, and a
+    dict lookup costs no scalar hashing.
+    """
+
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords):
         cs = tuple(
@@ -43,7 +56,8 @@ class TorusElement:
         for c in cs:
             if c.is_zero():
                 raise ZeroTorusCoordinate("torus coordinates must be nonzero")
-        object.__setattr__(self, "coords", cs)
+        _set_coords(self, cs)
+        _set_hash(self, hash(tuple(c.parts() for c in cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusElement is immutable")
@@ -58,10 +72,10 @@ class TorusElement:
     def __mul__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
-        return TorusElement(tuple(a * b for a, b in zip(self.coords, other.coords)))
+        return _torus(tuple(a * b for a, b in zip(self.coords, other.coords)))
 
     def inverse(self) -> "TorusElement":
-        return TorusElement(tuple(c.inverse() for c in self.coords))
+        return _torus(tuple(c.inverse() for c in self.coords))
 
     def is_identity(self) -> bool:
         return all(c.is_one() for c in self.coords)
@@ -72,7 +86,7 @@ class TorusElement:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        return self._hash
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -83,6 +97,19 @@ class TorusElement:
     @classmethod
     def from_json(cls, data):
         return cls(tuple(GaussianRational.from_json(c) for c in data))
+
+
+_set_coords = TorusElement.coords.__set__
+_set_hash = TorusElement._hash.__set__
+
+
+def _torus(coords: tuple) -> TorusElement:
+    """TorusElement from a tuple of nonzero GaussianRationals, unchecked:
+    products and inverses of nonzero coordinates are nonzero."""
+    a = object.__new__(TorusElement)
+    _set_coords(a, coords)
+    _set_hash(a, hash(tuple(c.parts() for c in coords)))
+    return a
 
 
 class SmashAlgebra:
@@ -195,11 +222,22 @@ class SmashElement:
 
 
 def _term_product(alg: SmashAlgebra, t1, t2) -> dict:
-    """Product of two single terms; returns {(torus, monomial): coeff}."""
+    """Product of two single terms; returns {(torus, monomial): coeff}.
+
+    (a1 # m1)(a2 # m2) = Ad(a2^-1)(m1) * (a1 a2) # m1 m2.  Trivial legs take
+    a shortcut: an identity a2 or an empty m1 gives the scale ONE, an
+    identity a1 gives the point a2, and an empty monomial on either side
+    leaves the other one, which is already normal, so no rewriting runs.
+    """
     (a1, m1), (a2, m2) = t1, t2
-    scale = alg.ad_monomial(a2.inverse(), m1)
+    if a2.is_identity():
+        scale, point = ONE, a1
+    else:
+        scale = alg.ad_monomial(a2.inverse(), m1) if m1 else ONE
+        point = a2 if a1.is_identity() else a1 * a2
+    if not m1 or not m2:
+        return {(point, m1 or m2): scale}
     prod = normalize_terms(alg.g, [(word_of(m1) + word_of(m2), scale)])
-    point = a1 * a2
     return {(point, mon): c for mon, c in prod.items()}
 
 

@@ -306,6 +306,26 @@ class TestCheckFailures:
         assert row["check"] == "central" and row["pass"] is False
         assert row["witness"]["generator"]
 
+    def test_broken_hopf_check_exits_1_with_witness(self, capsys, monkeypatch):
+        # a super flip that forgets the Koszul sign breaks co-commutativity
+        import superalg.smash as smash
+        from superalg.smash import TensorElement
+
+        monkeypatch.setattr(
+            smash,
+            "_twist",
+            lambda t: TensorElement(t.alg, 2, {(k2, k1): c for (k1, k2), c in t.terms.items()}),
+        )
+        status, rep = run_main(
+            ["hopf-check", "--algebra", "gl:1,1", "--samples", "100", "--seed", "7"],
+            capsys,
+        )
+        assert status == 1 and rep["pass"] is False
+        failing = [r for r in rep["results"] if not r["pass"]]
+        assert [r["check"] for r in failing] == ["super_cocommutativity"]
+        witness = failing[0]["witness"]
+        assert witness["check"] == "super_cocommutativity" and "#" in witness["witness"]
+
     @pytest.mark.parametrize("command", ["gamma-check", "radial"])
     @pytest.mark.parametrize(
         "defect", ["odd-pairing-zero", "mate-pairing-doubled", "cartan-null"]
@@ -358,6 +378,39 @@ class TestInputBoundary:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert "error:" in lines[-1] and message in lines[-1]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, definition, message",
+        [
+            (["casimir", "--kind", "gelfand"], "gl11", "gl(m|n) builder"),
+            (["casimir", "--order", "3"], "gl11", "gl(m|n) builder"),
+            (["jstruct-check"], "non-square-J", "must be square"),
+            (["gamma-check", "--points", "1"], "odd-weights-zero", "regular torus point"),
+            (["radial", "--points", "1"], "odd-weights-zero", "regular torus point"),
+        ],
+    )
+    def test_definition_file_rejected_with_exit_2(
+        self, argv, definition, message, capsys, tmp_path
+    ):
+        from superalg.jstruct import realify
+
+        g, form, rs = build_gl(1, 1)
+        if definition == "non-square-J":
+            real, j = realify(g)
+            data = dump_definition(real, j_matrix=[row[:-1] for row in j.matrix])
+        else:
+            data = dump_definition(g, form, rs)
+        if definition == "odd-weights-zero":  # Ad is 1 on every odd root
+            for root in data["root_system"]["roots"]:
+                root["weight"] = [0] * len(root["weight"])
+        path = tmp_path / "def.json"
+        path.write_text(json.dumps(data))
+        status = main(argv + ["--file", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
         assert "Traceback" not in captured.err
 
     def test_bad_degree_cap_environment(self, capsys, monkeypatch):

@@ -1,16 +1,21 @@
+import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 
+import superalg.smash as smash_mod
 from superalg.errors import DegreeTooHigh, SingularOddBlock, ZeroTorusCoordinate
 from superalg.linalg import inv, mat_mul
-from superalg.pbw import pbw_normalize
-from superalg.sampling import rand_smash_element, rand_torus_coords, rng
+from superalg.pbw import normalize_terms, pbw_normalize, word_of
+from superalg.sampling import rand_monomial, rand_smash_element, rand_torus_coords, rng
 from superalg.scalars import gr, ONE, ZERO
 from superalg.smash import (
     SmashAlgebra,
     SmashElement,
+    TensorElement,
     TorusElement,
+    _term_product,
     antipode,
     check_hopf_axioms,
     conjugation_pullback,
@@ -71,6 +76,23 @@ class TestTorusElement:
         with pytest.raises(ZeroTorusCoordinate):
             TorusElement((gr(0), gr(1)))
 
+    def test_equal_points_hash_equally(self):
+        # the hash is taken from the coordinates' integer triples; every way
+        # of building the same point must land on the same one
+        built = [
+            TorusElement((2, -1, gr(Fraction(1, 3), 1))),
+            TorusElement((Fraction(4, 2), Fraction(-3, 3), gr(Fraction(2, 6), 1))),
+            TorusElement((4, 1, gr(1, 3)))
+            * TorusElement((Fraction(1, 2), -1, Fraction(1, 3))),
+            TorusElement((Fraction(1, 2), -1, gr(Fraction(3, 10), Fraction(-9, 10)))).inverse(),
+        ]
+        built.append(pickle.loads(pickle.dumps(built[0])))
+        table = {built[0]: "point"}
+        for a in built:
+            assert a == built[0] and hash(a) == hash(built[0])
+            assert table[a] == "point"
+        assert TorusElement((2, 1, 1)) != TorusElement((2, 1, -1))
+
 
 class TestSmashProduct:
     def test_unit(self, alg11):
@@ -121,6 +143,37 @@ class TestSmashProduct:
             assert smash_multiply(smash_multiply(u, v), w) == smash_multiply(
                 u, smash_multiply(v, w)
             )
+
+
+def _random_leg(alg, r, identity_point, empty_monomial):
+    """A smash key (point, monomial) of the requested shape."""
+    point = TorusElement.identity(alg.t)
+    while not identity_point and point.is_identity():
+        point = TorusElement(rand_torus_coords(r, alg.t))
+    mon = rand_monomial(alg.g, r, degree_cap=0 if empty_monomial else 3)
+    while mon == () and not empty_monomial:
+        mon = rand_monomial(alg.g, r, degree_cap=3)
+    return point, mon
+
+
+class TestTermProduct:
+    @pytest.mark.parametrize("algebra", ["gl11", "gl21"])
+    def test_matches_general_rule_on_every_leg_shape(self, algebra, request):
+        # reference: the product rule with no shortcut,
+        # (a1 # m1)(a2 # m2) = (a1 a2) # Ad(a2^-1)(m1) m2
+        g, _, rs = request.getfixturevalue(algebra)
+        alg = SmashAlgebra(g, rs)
+        r = rng(53)
+        for shape in itertools.product([True, False], repeat=4):
+            for _ in range(8):
+                a1, m1 = _random_leg(alg, r, shape[0], shape[1])
+                a2, m2 = _random_leg(alg, r, shape[2], shape[3])
+                scale = alg.ad_monomial(a2.inverse(), m1)
+                want = normalize_terms(g, [(word_of(m1) + word_of(m2), scale)])
+                point = a1 * a2
+                assert _term_product(alg, (a1, m1), (a2, m2)) == {
+                    (point, mon): c for mon, c in want.items()
+                }
 
 
 class TestCoalgebra:
@@ -202,6 +255,106 @@ class TestAntipode:
     def test_hopf_axioms_gl21(self, alg21):
         rep = check_hopf_axioms(alg21, samples=25, seed=5)
         assert rep["pass"], rep["failures"]
+
+
+def _double_nontrivial_leg1(real):
+    """coproduct_leg whose leg-1 expansion doubles every term that is not
+    group-like in all legs."""
+
+    def defect(t, leg):
+        out = real(t, leg)
+        if leg != 1:
+            return out
+        return TensorElement(
+            out.alg,
+            out.legs,
+            {k: c * 2 if any(mon for _, mon in k) else c for k, c in out.terms.items()},
+        )
+
+    return defect
+
+
+def _drop_one_sided(real, empty_leg):
+    """coproduct without its g#1 (x) X terms (empty_leg 0) or its
+    X (x) g#1 terms (empty_leg 1)."""
+
+    def defect(u):
+        d = real(u)
+        return TensorElement(
+            d.alg,
+            2,
+            {
+                k: c
+                for k, c in d.terms.items()
+                if k[empty_leg][1] or not k[1 - empty_leg][1]
+            },
+        )
+
+    return defect
+
+
+def _antipode_as_homomorphism(real):
+    """s(g # X) = s(g) s(X): the factors in the wrong order."""
+
+    def defect(u):
+        alg = u.alg
+        e = TorusElement.identity(alg.t)
+        out = SmashElement(alg, {})
+        for (a, mon), c in u.terms.items():
+            s_x = real(SmashElement(alg, {(e, mon): ONE}))
+            out = out + smash_multiply(alg.group_like(a.inverse()), s_x).scale(c)
+        return out
+
+    return defect
+
+
+def _twist_without_sign(t):
+    return TensorElement(t.alg, 2, {(k2, k1): c for (k1, k2), c in t.terms.items()})
+
+
+_HOPF_DEFECTS = {
+    "coproduct_leg-doubles-leg-1": (
+        "coproduct_leg", _double_nontrivial_leg1, {"coassociativity"},
+    ),
+    "coproduct-drops-1xX": (
+        "coproduct",
+        lambda real: _drop_one_sided(real, 0),
+        {"counit_left", "antipode_right", "antipode_left", "coassociativity",
+         "super_cocommutativity"},
+    ),
+    "coproduct-drops-Xx1": (
+        "coproduct",
+        lambda real: _drop_one_sided(real, 1),
+        {"counit_right", "antipode_right", "antipode_left", "coassociativity",
+         "super_cocommutativity"},
+    ),
+    "antipode-as-homomorphism": (
+        "antipode", _antipode_as_homomorphism, {"antipode_right", "antipode_left"},
+    ),
+    # odd (x) odd terms are rare among the samples: 6 of 100 at seed 7
+    "twist-without-sign": (
+        "_twist", lambda real: _twist_without_sign, {"super_cocommutativity"},
+    ),
+}
+
+
+class TestHopfChecksCatchDefects:
+    """Each of the six Hopf checks fails on some injected defect."""
+
+    @pytest.mark.parametrize("defect", sorted(_HOPF_DEFECTS))
+    def test_defect_fails_exactly_its_checks(self, defect, alg11, monkeypatch):
+        name, make, want_failing = _HOPF_DEFECTS[defect]
+        monkeypatch.setattr(smash_mod, name, make(getattr(smash_mod, name)))
+        rep = check_hopf_axioms(alg11, samples=100, seed=7)
+        failing = {k for k, n in rep["checks"].items() if n < rep["samples"]}
+        assert failing == want_failing
+        assert not rep["pass"]
+        assert rep["failures"][0]["witness"]
+
+    def test_every_check_has_a_defect(self, alg11):
+        names = set(check_hopf_axioms(alg11, samples=1, seed=0)["checks"])
+        caught = set().union(*(fails for _, _, fails in _HOPF_DEFECTS.values()))
+        assert caught == names
 
 
 class TestConjugationPullback:
