@@ -12,7 +12,6 @@ from .errors import (
     NotAlmostComplex,
     NotAnIdeal,
     NotAScalarSquare,
-    NotConstantCoefficient,
     NotEigenfunction,
     ParseError,
     SingularOddBlock,

@@ -98,12 +98,7 @@ class RunConfig:
 def _load_algebra(config: RunConfig, need_roots=False, need_form=False):
     """Resolve --algebra gl:m,n or --file path into algebra objects."""
     if config.file:
-        try:
-            with open(config.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {config.file}: {exc}") from exc
-        loaded = load_definition(text)
+        loaded = load_definition(_read_text(config.file))
         g = loaded["algebra"]
         form = loaded.get("form")
         rs = loaded.get("root_system")
@@ -124,6 +119,14 @@ def _load_algebra(config: RunConfig, need_roots=False, need_form=False):
         raise UnsupportedAlgebra("builder needs m >= 1 and n >= 1")
     g, form, rs = build_gl(m, n)
     return g, form, rs, None
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _algebra_label(config: RunConfig) -> str:
@@ -177,10 +180,7 @@ def _cmd_build(config: RunConfig):
 def _cmd_check_jacobi(config: RunConfig):
     if config.file:
         try:
-            with open(config.file, "r", encoding="utf-8") as fh:
-                data = json.loads(fh.read())
-        except OSError as exc:
-            raise ParseError(f"cannot read {config.file}: {exc}") from exc
+            data = json.loads(_read_text(config.file))
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -243,10 +243,7 @@ def _cmd_hopf(config: RunConfig):
 def _cmd_jstruct(config: RunConfig):
     g, form, rs, jm = _load_algebra(config)
     if jm is not None:
-        try:
-            j = JStructure(jm)
-        except ValueError as exc:
-            raise ParseError(f"J in {config.file}: {exc}") from exc
+        j = JStructure(jm)  # load_definition checked the shape
         target = g
     else:
         # canonical demonstration pair: restriction of scalars with J = mult by i
@@ -461,8 +458,12 @@ def main(argv=None) -> int:
         return 2
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

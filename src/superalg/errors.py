@@ -44,11 +44,6 @@ class NotEigenfunction(SuperalgError):
     eigenfunction of the torus Laplacian for this algebra."""
 
 
-class NotConstantCoefficient(SuperalgError):
-    """The conjugated radial operator moved some exponential off its own
-    line, so it is not a constant-coefficient polynomial."""
-
-
 class SingularPoint(SuperalgError):
     """A torus point lies on the singular locus of the function being
     evaluated."""

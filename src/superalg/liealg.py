@@ -133,7 +133,7 @@ class LieSuperalgebra:
             return cls(names, parities, table, validate=validate)
         except ParseError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed algebra definition: {exc}") from exc
 
 
@@ -307,9 +307,12 @@ class RootSystem:
     @classmethod
     def from_json(cls, data):
         return cls(
-            data["cartan"],
-            [Root(tuple(r["weight"]), int(r["parity"]), int(r["index"])) for r in data["roots"]],
-            data["positives"],
+            [int(h) for h in data["cartan"]],
+            [
+                Root(tuple(int(w) for w in r["weight"]), int(r["parity"]), int(r["index"]))
+                for r in data["roots"]
+            ],
+            [int(p) for p in data["positives"]],
         )
 
 
@@ -507,7 +510,8 @@ def dump_definition(g: LieSuperalgebra, form=None, rs=None, j_matrix=None) -> di
 
 def load_definition(text_or_dict):
     """Parse an algebra definition; returns dict with keys
-    algebra, form (optional), root_system (optional), J (optional)."""
+    algebra, form (optional), root_system (optional), J (optional).
+    Malformed input of any kind raises ParseError."""
     if isinstance(text_or_dict, str):
         try:
             data = json.loads(text_or_dict)
@@ -515,13 +519,33 @@ def load_definition(text_or_dict):
             raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     else:
         data = text_or_dict
-    out = {"algebra": LieSuperalgebra.from_json(data)}
-    if "form" in data:
-        out["form"] = QuadraticForm.from_json(data["form"])
-    if "root_system" in data:
-        out["root_system"] = RootSystem.from_json(data["root_system"])
-    if "J" in data:
-        out["J"] = [
-            [GaussianRational.from_json(c) for c in row] for row in data["J"]
-        ]
+    if not isinstance(data, dict):
+        raise ParseError("a definition is a JSON object")
+    g = LieSuperalgebra.from_json(data)
+    out = {"algebra": g}
+    try:
+        if "form" in data:
+            out["form"] = QuadraticForm.from_json(data["form"])
+            if out["form"].dim != g.dim:
+                raise ValueError(f"form must be {g.dim} x {g.dim}")
+        if "root_system" in data:
+            out["root_system"] = RootSystem.from_json(data["root_system"])
+            _check_root_system(out["root_system"], g)
+        if "J" in data:
+            out["J"] = [[GaussianRational.from_json(c) for c in row] for row in data["J"]]
+            if len(out["J"]) != g.dim or any(len(row) != g.dim for row in out["J"]):
+                raise ValueError(f"J must be square, {g.dim} x {g.dim}")
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed definition: {exc}") from exc
     return out
+
+
+def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
+    """The Cartan (even) and root-vector indices split the basis with its
+    parities, and roots come in +/- pairs of one parity; ValueError if not."""
+    parities = {h: EVEN for h in rs.cartan}
+    parities.update((r.index, r.parity) for r in rs.roots)
+    if len(rs.cartan) + len(rs.roots) != g.dim or parities != dict(enumerate(g.parities)):
+        raise ValueError("root_system: Cartan and root indices must split the basis by parity")
+    for r in rs.roots:
+        rs.negative_of(r)

@@ -116,21 +116,3 @@ def rref(a, zero):
         r += 1
     return m[:r] + [row for row in m[r:]], pivots
 
-
-def solve_unique(a, b, zero):
-    """Solve Ax = b demanding a unique solution.
-
-    Returns (solution, None) or (None, reason) with reason in
-    {"underdetermined", "inconsistent"}.
-    """
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
-    red, pivots = rref(rows, zero)
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None, "inconsistent"
-    if len(pivots) < ncols:
-        return None, "underdetermined"
-    sol = [zero] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][ncols]
-    return sol, None

@@ -18,29 +18,25 @@ order-two Casimir acts as
 
     D f = j^-1 L(j f) - c f
 
-and conjugating by j turns it into a constant-coefficient polynomial in
-the momenta: j D (j^-1 q^lam) = p(lam) q^lam with p of degree two whose
-leading part matches the Cartan projection of the Casimir under
-H_i -> lam_i / 2.
+so j D j^-1 = L - c on the torus function field, by field algebra alone.
+L sends q^lam to (sum_i c_i lam_i^2 / 4) q^lam, hence the conjugated
+operator is the constant-coefficient polynomial p(lam) = sum_i c_i
+lam_i^2 / 4 - c in the momenta, read off the Laplacian symbol; its leading
+part matches the Cartan projection of the Casimir under H_i -> lam_i / 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from .errors import (
-    DegenerateForm,
-    NotConstantCoefficient,
-    NotEigenfunction,
-    SingularOddBlock,
-    SingularPoint,
-)
+from .errors import DegenerateForm, NotEigenfunction, SingularOddBlock, SingularPoint
 from .liealg import QuadraticForm, RootSystem
-from .linalg import solve_unique
+from .linalg import rref
 from .pbw import cartan_poly_eval, casimir2, project_to_cartan
-from .scalars import GaussianRational, I, ONE, ZERO, gr
+from .scalars import GaussianRational, I, ZERO, gr
 from .smash import TorusElement, check_frame, gamma_via_sdet
-from .torus import TorusRational, sinh_half, sqrt_scalar_free
+from .torus import LaurentPoly, TorusRational, sinh_half, sqrt_scalar_free
 
 
 def gamma_closed_form(rs: RootSystem) -> TorusRational:
@@ -168,6 +164,18 @@ class TorusLaplacian:
             total = total + f.derive(i).derive(i) * c
         return total
 
+    def symbol(self) -> dict:
+        """L(q^lam) = s(lam) q^lam with s(lam) = sum_i c_i lam_i^2 / 4, as a
+        {exponent tuple: coefficient} polynomial in the weight."""
+        quarter = gr(Fraction(1, 4))
+        out = {}
+        for i, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                e = [0] * self.rank
+                e[i] = 2
+                out[tuple(e)] = c * quarter
+        return out
+
 
 class RadialOperator:
     """j together with the certified eigenvalue c in L(j) = c j."""
@@ -266,72 +274,55 @@ def _quadratic_exponents(t: int):
 
 
 def extract_P(op: RadialOperator, weights) -> tuple:
-    """Certify the conjugated radial operator on exponentials and fit the
-    resulting eigenvalue map as a degree-two polynomial in the weight.
+    """The constant-coefficient polynomial of the conjugated radial operator,
+    read off the Laplacian symbol and checked on exponentials.
 
-    For each integer weight lam computes j * D(j^-1 q^lam) exactly and
-    demands it be a scalar multiple p(lam) of q^lam (otherwise
-    NotConstantCoefficient).  The values are then fit to a single
-    polynomial of degree <= 2; rank-deficient weight sets raise ValueError.
+    j D j^-1 = L - c is an identity of the torus function field, so on q^lam
+    it acts by p(lam) = s(lam) - c with s the symbol of L: p has c_i / 4 at
+    exponent 2 e_i and -c at exponent 0.  Each weight checks
+    L(q^lam) = (p(lam) + c) q^lam in Laurent arithmetic, with L applied
+    through derive_half, so a wrong symbol fails at the first weight it
+    misjudges.  Both sides are polynomials of degree <= 2 in lam; the weight
+    set must be unisolvent for that space (the weight x quadratic-monomial
+    matrix has full column rank, ValueError otherwise), and then agreement
+    on the set proves the identity for every lam.
 
     Returns (poly, report) with poly a {exponent tuple: coefficient} map in
     the weight variables.
     """
-    t = op.laplacian.rank
-    values = []
-    for w in weights:
-        lam = tuple(int(x) for x in w)
-        if len(lam) != t:
-            raise ValueError("weight length must equal the Cartan rank")
-        q_lam = TorusRational.monomial(t, lam)
-        conj = op.j * apply_radial_C2(op, q_lam / op.j)
-        ratio = conj / q_lam
-        if not ratio.is_scalar():
-            raise NotConstantCoefficient(
-                f"weight {lam}: conjugated operator left the exponential line"
-            )
-        values.append((lam, ratio.scalar_value()))
-
+    lap = op.laplacian
+    t = lap.rank
+    lams = [tuple(int(x) for x in w) for w in weights]
+    if any(len(lam) != t for lam in lams):
+        raise ValueError("weight length must equal the Cartan rank")
     exps = _quadratic_exponents(t)
-    if len(values) < len(exps):
+    rows = [[gr(prod(x**k for x, k in zip(lam, e))) for e in exps] for lam in lams]
+    _, pivots = rref(rows, ZERO)
+    if len(pivots) < len(exps):
         raise ValueError(
-            f"need at least {len(exps)} weights to determine a degree-2 polynomial"
+            f"weights span rank {len(pivots)} of the {len(exps)} needed to "
+            "determine a degree-2 polynomial"
         )
-    rows = []
-    rhs = []
-    for lam, val in values:
-        row = []
-        for e in exps:
-            mono = ONE
-            for x, k in zip(lam, e):
-                for _ in range(k):
-                    mono = mono * gr(x)
-            row.append(mono)
-        rows.append(row)
-        rhs.append(val)
-    sol, reason = solve_unique(rows, rhs, ZERO)
-    if reason == "underdetermined":
-        raise ValueError("degenerate or repeated weights; fit is underdetermined")
-    if reason == "inconsistent":
-        return {}, {
-            "pass": False,
-            "reason": "values are not consistent with a degree-2 polynomial",
-            "weights": [list(l) for l, _ in values],
-        }
-    poly = {e: c for e, c in zip(exps, sol) if not c.is_zero()}
-    # verify every weight against the fit
-    for lam, val in values:
-        if cartan_poly_eval(poly, [gr(x) for x in lam]) != val:
+    c = op.eigenvalue_c
+    poly = lap.symbol()
+    if not c.is_zero():
+        poly[(0,) * t] = -c
+    for lam in lams:
+        q_lam = LaurentPoly.monomial(t, lam)
+        l_q = LaurentPoly.zero(t)
+        for i, ci in enumerate(lap.coeffs):
+            l_q = l_q + q_lam.derive_half(i).derive_half(i) * ci
+        if l_q != q_lam * (cartan_poly_eval(poly, [gr(x) for x in lam]) + c):
             return poly, {
                 "pass": False,
-                "reason": f"weight {lam} inconsistent with the fitted polynomial",
+                "reason": f"weight {list(lam)}: L(q^lam) is not (P(lam) + c) q^lam",
             }
     degree = max((sum(e) for e in poly), default=0)
     return poly, {
         "pass": True,
         "degree": degree,
-        "coefficients": {str(list(e)): c.to_json() for e, c in sorted(poly.items())},
-        "weights_tested": len(values),
+        "coefficients": {str(list(e)): v.to_json() for e, v in sorted(poly.items())},
+        "weights_tested": len(lams),
     }
 
 

@@ -326,6 +326,23 @@ class TestCheckFailures:
         witness = failing[0]["witness"]
         assert witness["check"] == "super_cocommutativity" and "#" in witness["witness"]
 
+    def test_wrong_laplacian_symbol_exits_1_with_P_fit_witness(self, capsys, monkeypatch):
+        # injected defect: c_i / 2 in place of c_i / 4 in the symbol
+        from superalg.radial import TorusLaplacian
+
+        real = TorusLaplacian.symbol
+        monkeypatch.setattr(
+            TorusLaplacian, "symbol", lambda lap: {e: c * 2 for e, c in real(lap).items()}
+        )
+        status, rep = run_main(
+            ["radial", "--algebra", "gl:1,1", "--points", "2", "--weights", "6"], capsys
+        )
+        assert status == 1 and rep["pass"] is False
+        row = next(r for r in rep["results"] if r["check"] == "P-fit")
+        assert row["pass"] is False
+        assert row["witness"]["reason"].startswith("weight [1, 0]:")
+        assert rep["values"]["P_fit"] == row["witness"]
+
     @pytest.mark.parametrize("command", ["gamma-check", "radial"])
     @pytest.mark.parametrize(
         "defect", ["odd-pairing-zero", "mate-pairing-doubled", "cartan-null"]
@@ -388,6 +405,9 @@ class TestInputBoundary:
             (["jstruct-check"], "non-square-J", "must be square"),
             (["gamma-check", "--points", "1"], "odd-weights-zero", "regular torus point"),
             (["radial", "--points", "1"], "odd-weights-zero", "regular torus point"),
+            (["hopf-check", "--samples", "1"], "weight-too-short", "weight length"),
+            (["radial"], "positives-out-of-range", "positives must index"),
+            (["gamma-check"], "form-not-square", "gram matrix must be square"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -404,6 +424,12 @@ class TestInputBoundary:
         if definition == "odd-weights-zero":  # Ad is 1 on every odd root
             for root in data["root_system"]["roots"]:
                 root["weight"] = [0] * len(root["weight"])
+        elif definition == "weight-too-short":
+            data["root_system"]["roots"][0]["weight"] = [1]
+        elif definition == "positives-out-of-range":
+            data["root_system"]["positives"] = [7]
+        elif definition == "form-not-square":
+            data["form"][0] = data["form"][0][:-1]
         path = tmp_path / "def.json"
         path.write_text(json.dumps(data))
         status = main(argv + ["--file", str(path)])

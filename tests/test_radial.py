@@ -336,11 +336,60 @@ class TestExtractP:
         op = build_radial(rs, form)
         with pytest.raises(ValueError):
             extract_P(op, [(0, 0)] * 12)
+        # distinct weights on one line: lam_2 never varies, so the
+        # lam_2 and lam_1 lam_2 columns stay zero
+        with pytest.raises(ValueError, match="rank 3 of the 6"):
+            extract_P(op, [(k, 0) for k in range(12)])
+
+    def test_polynomial_is_the_laplacian_symbol(self, gl21):
+        # p(lam) = sum_i c_i lam_i^2 / 4 - c, for a nonzero c too
+        _, form, rs = gl21
+        lap = TorusLaplacian.from_cartan(rs, form)
+        op = RadialOperator.certify(TorusRational.monomial(3, (1, 0, 0)), lap)
+        assert op.eigenvalue_c == gr(Fraction(1, 4))
+        poly, rep = extract_P(op, default_weights(3, 10))
+        assert rep["pass"] and rep["weights_tested"] == 10 and rep["degree"] == 2
+        assert poly == {
+            (2, 0, 0): gr(Fraction(1, 4)),
+            (0, 2, 0): gr(Fraction(1, 4)),
+            (0, 0, 2): gr(Fraction(-1, 4)),
+            (0, 0, 0): gr(Fraction(-1, 4)),
+        }
+
+    def test_no_torus_rational_arithmetic(self, gl21, monkeypatch):
+        # every TorusRational is built by __init__ or _make_reduced, and
+        # every _polytools call comes from one
+        import superalg.torus as torus
+
+        _, form, rs = gl21
+        op = build_radial(rs, form)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extract_P built a TorusRational")
+
+        monkeypatch.setattr(torus.TorusRational, "__init__", forbidden)
+        monkeypatch.setattr(torus, "_make_reduced", forbidden)
+        assert extract_P(op, default_weights(3, 12))[1]["pass"]
+
+    def test_wrong_symbol_fails_at_a_named_weight(self, gl11, monkeypatch):
+        # injected defect: c_i / 2 in place of c_i / 4
+        _, form, rs = gl11
+        op = build_radial(rs, form)
+
+        real = TorusLaplacian.symbol
+        monkeypatch.setattr(
+            TorusLaplacian, "symbol", lambda lap: {e: c * 2 for e, c in real(lap).items()}
+        )
+        poly, rep = extract_P(op, default_weights(2, 6))
+        assert poly[(2, 0)] == gr(Fraction(1, 2))
+        assert rep["pass"] is False
+        assert rep["reason"].startswith("weight [1, 0]:")
 
     def test_conjugation_is_scalar_on_exponentials(self, gl11):
         # the conjugated operator sends q^lam to a scalar multiple of
-        # itself identically (that is what the fit consumes); spot-check
-        # the scalar against the closed expression L(q^lam)/q^lam - c
+        # itself identically (the identity extract_P reads the symbol off);
+        # spot-check the scalar against the closed expression
+        # L(q^lam)/q^lam - c
         _, form, rs = gl11
         op = build_radial(rs, form)
         for lam in [(1, 0), (0, -3), (2, 2), (-1, 4)]:
