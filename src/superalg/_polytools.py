@@ -1,10 +1,16 @@
 """Thin bridge to sympy's exact polynomial engine over Q(i).
 
-Only three services are consumed: multivariate gcd, exact division, and
-factorization into irreducibles.  Everything else (Laurent arithmetic,
-canonical forms, derivations) is implemented in this package.  Terms are
-exchanged as dicts mapping exponent tuples (non-negative ints) to
-GaussianRational coefficients.
+sympy is reached for two services only: the multivariate gcd of two
+non-constant polynomials, and exact division by a non-constant polynomial.
+Both arise in the canonical form of TorusRational (torus.py).  A gcd with a
+nonzero constant operand is the unit 1, and a division by a constant is a
+coefficient scaling, so both are answered here without sympy.
+`poly_factors` (factorization into irreducibles) has no caller in the
+package; it stays because the benchmark's tracer wraps it by name.
+Everything else (Laurent arithmetic, canonical forms, derivations, square
+roots) is implemented in this package.  Terms are exchanged as dicts
+mapping exponent tuples (non-negative ints) to GaussianRational
+coefficients.
 """
 
 from __future__ import annotations
@@ -12,8 +18,7 @@ from __future__ import annotations
 from sympy import Poly, symbols
 from sympy.polys.domains import QQ, QQ_I
 
-from .linalg import add_term
-from .scalars import GaussianRational, from_parts
+from .scalars import ONE, GaussianRational, from_parts
 
 _GENS = {}
 
@@ -90,11 +95,14 @@ def _unit_normalized(terms: dict) -> dict:
 
 
 def poly_gcd(a: dict, b: dict, n: int) -> dict:
-    """gcd of two polynomial term-dicts, up to a unit."""
+    """gcd of two polynomial term-dicts, up to a unit; 1 when either is a
+    nonzero constant."""
     if not a:
         return dict(b)
     if not b:
         return dict(a)
+    if is_unit_dict(a) or is_unit_dict(b):
+        return {(0,) * n: ONE}
     an, bn = _unit_normalized(a), _unit_normalized(b)
     if _is_real(an) and _is_real(bn):
         return _from_poly_real(_to_poly_real(an, n).gcd(_to_poly_real(bn, n)))
@@ -105,6 +113,12 @@ def poly_div_exact(a: dict, b: dict, n: int) -> dict:
     """a / b, raising ValueError if the division is not exact."""
     if not a:
         return {}
+    if is_unit_dict(b):
+        c = next(iter(b.values()))
+        if c.is_one():
+            return dict(a)
+        inv = c.inverse()
+        return {e: v * inv for e, v in a.items()}
     if _is_real(a) and _is_real(b):
         q, r = _to_poly_real(a, n).div(_to_poly_real(b, n))
         if not r.is_zero:
@@ -132,13 +146,3 @@ def poly_factors(a: dict, n: int) -> list:
 def is_unit_dict(a: dict) -> bool:
     """True when the term-dict is a nonzero constant."""
     return len(a) == 1 and not any(next(iter(a)))
-
-
-def poly_partial(a: dict, var: int) -> dict:
-    """Plain partial derivative d/dq_var of a polynomial term-dict."""
-    out = {}
-    for exps, c in a.items():
-        k = exps[var]
-        if k:
-            add_term(out, exps[:var] + (k - 1,) + exps[var + 1 :], c * k)
-    return out

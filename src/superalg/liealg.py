@@ -542,10 +542,15 @@ def load_definition(text_or_dict):
 
 def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
     """The Cartan (even) and root-vector indices split the basis with its
-    parities, and roots come in +/- pairs of one parity; ValueError if not."""
+    parities, roots come in +/- pairs of one parity, and every weight
+    satisfies the eigen-equations of the bracket table; ValueError if not."""
     parities = {h: EVEN for h in rs.cartan}
     parities.update((r.index, r.parity) for r in rs.roots)
     if len(rs.cartan) + len(rs.roots) != g.dim or parities != dict(enumerate(g.parities)):
         raise ValueError("root_system: Cartan and root indices must split the basis by parity")
     for r in rs.roots:
         rs.negative_of(r)
+    eigen = rs.validate(g)
+    if not eigen["pass"]:
+        h, x = eigen["witness"]
+        raise ValueError(f"root_system: weight of {x} contradicts the bracket [{h}, {x}]")

@@ -12,9 +12,19 @@ binomial.  The Berezinian of the Jacobian in the Cartan + root-vector frame
 equals this closed form times i^|R1|, which is +-1 because odd roots come
 in +/- pairs; a change of frame is a similarity and cannot alter it.
 
-j is a scalar-free square root of gamma; once the torus Laplacian
-certifies the eigenfunction identity L(j) = c j, the radial part of the
-order-two Casimir acts as
+j is a scalar-free square root of gamma, taken term by term from its
+numerator and denominator polynomials (torus.sqrt_scalar_free).  With
+j = N / D and ' = d/dy_i, the eigenfunction identity L(j) = c j is
+certified as the cleared-denominator Laurent identity
+
+    sum_i c_i (N'' D^2 - 2 N' D' D - N D'' D + 2 N D'^2) = c N D^2,
+
+with no gcd.  On the radial and gamma-check paths sympy is reached only
+while gamma_closed_form builds gamma as a canonical TorusRational: a gcd
+of two non-constant polynomials and the division by it (_polytools).
+TorusLaplacian.apply and apply_radial_C2 work in TorusRational and reach
+it as well.  Once L(j) = c j holds, the radial part of the order-two
+Casimir acts as
 
     D f = j^-1 L(j f) - c f
 
@@ -188,16 +198,37 @@ class RadialOperator:
     @classmethod
     def certify(cls, j: TorusRational, laplacian: TorusLaplacian) -> "RadialOperator":
         """Verify the exact field identity L(j) = c j; NotEigenfunction
-        when the ratio is not a scalar."""
+        when no scalar c satisfies it.
+
+        With j = N / D and ' = d/dy_i, d_i^2 (N / D) is
+        (N'' D^2 - 2 N' D' D - N D'' D + 2 N D'^2) / D^3, so the identity
+        is the Laurent-polynomial identity
+
+            sum_i c_i (N'' D^2 - 2 N' D' D - N D'' D + 2 N D'^2) = c N D^2,
+
+        summed over i before the products are taken.  c is the ratio of
+        the two sides' coefficients at the lex-least exponent of N D^2,
+        whose coefficient is nonzero; then the whole identity is compared.
+        No gcd and no canonical form is needed.
+        """
         if j.is_zero():
             raise NotEigenfunction("j must be nonzero")
-        lj = laplacian.apply(j)
-        ratio = lj / j
-        if not ratio.is_scalar():
-            raise NotEigenfunction("L(j)/j is not constant")
-        c = ratio.scalar_value()
-        if not (lj == j * c):
-            raise NotEigenfunction("eigen identity failed to certify")
+        num, den = j.num, j.den
+        n = j.nvars
+        # sum_i c_i N'', sum_i c_i D'', sum_i c_i N' D', sum_i c_i D'^2
+        l_num, l_den, cross, grad_sq = (LaurentPoly.zero(n) for _ in range(4))
+        for i, ci in enumerate(laplacian.coeffs):
+            dn, dd = num.derive_half(i), den.derive_half(i)
+            l_num = l_num + dn.derive_half(i) * ci
+            l_den = l_den + dd.derive_half(i) * ci
+            cross = cross + dn * dd * ci
+            grad_sq = grad_sq + dd * dd * ci
+        lhs = (l_num * den - cross * 2 - num * l_den) * den + num * grad_sq * 2
+        rhs = num * den * den
+        least = rhs.lex_least()
+        c = lhs.terms.get(least, ZERO) / rhs.terms[least]
+        if lhs != rhs * c:
+            raise NotEigenfunction("L(j) is not a scalar multiple of j")
         return cls(j, laplacian, c)
 
 

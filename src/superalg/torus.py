@@ -18,10 +18,11 @@ equality is syntactic:
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._polytools import is_unit_dict, poly_div_exact, poly_factors, poly_gcd, poly_partial
+from ._polytools import poly_div_exact, poly_gcd
 from .errors import NotAScalarSquare
 from .linalg import add_term
 from .scalars import GaussianRational, ONE, ZERO, gr
@@ -520,43 +521,59 @@ def torus_derive(f: TorusRational, var: int) -> TorusRational:
     return f.derive(var)
 
 
-def _poly_sqrt(terms: dict, n: int) -> dict:
-    """Square root of a polynomial term-dict up to a scalar, or raise.
+def _grlex_desc(e: Exps) -> tuple:
+    """Heap key that pops exponents in descending graded-lex order: total
+    degree first, then lexicographic."""
+    return -sum(e), tuple(-x for x in e)
 
-    Fast path: for P = c * S^2 with S squarefree, S is the gcd of P with
-    all of its partial derivatives, verified afterwards by exact division.
-    Inputs with higher multiplicities fall back to full factorization
-    over Q(i), which is only viable at small variable counts.
+
+def _poly_sqrt(terms: dict) -> tuple:
+    """(S, a) with terms == a * S * S and S's leading coefficient 1, or
+    NotAScalarSquare.
+
+    Dividing by the leading coefficient a (graded-lex order) makes the root
+    monic; its leading exponent E is half the leading exponent of terms.
+    Each further term of S is read off the leading term (F, r) of the
+    remainder terms / a - S^2 as r/2 at F - E.  The remainder's leading
+    exponent strictly descends, and a root exponent must stay non-negative
+    and not below half the least exponent of terms, so the loop ends; the
+    input is a square exactly when the remainder reaches zero.
     """
-    if not terms:
-        return {}
-    if is_unit_dict(terms):
-        return {(0,) * n: ONE}
-    cand = terms
-    for var in range(n):
-        d = poly_partial(terms, var)
-        if d:
-            cand = poly_gcd(cand, d, n)
-        if is_unit_dict(cand):
-            break
-    if not is_unit_dict(cand):
-        square = dict((LaurentPoly(n, cand) * LaurentPoly(n, cand)).terms)
-        try:
-            quotient = poly_div_exact(terms, square, n)
-        except ValueError:
-            quotient = None
-        if quotient is not None and is_unit_dict(quotient):
-            return cand
-    half = {(0,) * n: ONE}
-    for factor, mult in poly_factors(terms, n):
-        if mult % 2:
-            raise NotAScalarSquare("odd multiplicity factor present")
-        acc = LaurentPoly(n, half)
-        fp = LaurentPoly(n, factor)
-        for _ in range(mult // 2):
-            acc = acc * fp
-        half = dict(acc.terms)
-    return half
+    keys = sorted(terms, key=_grlex_desc)
+    lead, low = keys[0], keys[-1]
+    if any(k % 2 for k in lead + low):
+        raise NotAScalarSquare("extreme exponent is not even")
+    top = tuple(k // 2 for k in lead)
+    floor = _grlex_desc(tuple(k // 2 for k in low))
+    a = terms[lead]
+    inv = a.inverse()
+    rest = {e: c * inv for e, c in terms.items()}
+    heap = [_grlex_desc(e) + (e,) for e in keys]  # sorted, hence a heap
+    root = {top: ONE}
+    del rest[lead]
+    half = gr(Fraction(1, 2))
+    while rest:
+        f = heapq.heappop(heap)[-1]
+        if f not in rest:
+            continue  # cancelled since it was pushed
+        e = tuple(x - y for x, y in zip(f, top))
+        if min(e) < 0 or _grlex_desc(e) > floor:
+            raise NotAScalarSquare("remainder does not vanish")
+        c = rest[f] * half
+        # rest -= (2 * root + c q^e) * c q^e
+        twice = c + c
+        for r, rc in root.items():
+            _sub_term(rest, heap, _add_exps(r, e), rc * twice)
+        _sub_term(rest, heap, _add_exps(e, e), c * c)
+        root[e] = c
+    return root, a
+
+
+def _sub_term(rest: dict, heap: list, e: Exps, c: GaussianRational) -> None:
+    """rest[e] -= c, pushing e on the heap when it is not in rest yet."""
+    if e not in rest:
+        heapq.heappush(heap, _grlex_desc(e) + (e,))
+    add_term(rest, e, -c)
 
 
 def sqrt_scalar_free(f: TorusRational) -> tuple:
@@ -565,7 +582,8 @@ def sqrt_scalar_free(f: TorusRational) -> tuple:
     Succeeds exactly when f is a perfect square in the torus function field
     up to a scalar; the scalar is returned for audit.  The conjugation
     identities that consume g are invariant under rescaling it, so no root
-    of the scalar is ever adjoined to Q(i).
+    of the scalar is ever adjoined to Q(i).  The numerator and denominator
+    polynomials are coprime, so their roots are too and g needs no gcd.
     """
     n = f.nvars
     if f.is_zero():
@@ -574,14 +592,11 @@ def sqrt_scalar_free(f: TorusRational) -> tuple:
     if any(s % 2 for s in shift):
         raise NotAScalarSquare("odd monomial content")
     _, dpoly = _poly_part(f.den)
-    sn = _poly_sqrt(npoly, n)
-    sd = _poly_sqrt(dpoly, n)
+    sn, a = _poly_sqrt(npoly)
+    sd, b = _poly_sqrt(dpoly)
     half_shift = tuple(s // 2 for s in shift)
-    g = TorusRational(LaurentPoly(n, sn).shift(half_shift), LaurentPoly(n, sd))
-    c = (g * g) / f
-    if not c.is_scalar():
-        raise NotAScalarSquare("square does not match up to a scalar")
-    return g, c.scalar_value()
+    g = _make_reduced(LaurentPoly(n, sn).shift(half_shift), LaurentPoly(n, sd))
+    return g, b / a
 
 
 def sinh_half(nvars: int, weight) -> TorusRational:

@@ -424,6 +424,12 @@ class TestInputBoundary:
         if definition == "odd-weights-zero":  # Ad is 1 on every odd root
             for root in data["root_system"]["roots"]:
                 root["weight"] = [0] * len(root["weight"])
+            # the Cartan must then commute with the odd vectors, or the
+            # weights contradict the bracket table and loading fails first
+            cartan = set(data["root_system"]["cartan"])
+            data["brackets"] = [
+                b for b in data["brackets"] if not ({b["i"], b["j"]} & cartan)
+            ]
         elif definition == "weight-too-short":
             data["root_system"]["roots"][0]["weight"] = [1]
         elif definition == "positives-out-of-range":
@@ -437,6 +443,27 @@ class TestInputBoundary:
         assert status == 2
         assert captured.out == ""
         assert captured.err.startswith("error:") and message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("weight", [(2, -2), (10**6, 1)])
+    @pytest.mark.parametrize(
+        "argv", [["hopf-check", "--samples", "3"], ["gamma-check", "--points", "2"], ["radial"]]
+    )
+    def test_weights_contradicting_the_brackets_exit_2(self, argv, weight, capsys, tmp_path):
+        # gl(1|1) has odd weights +-(1, -1); +-(2, -2) once let hopf-check
+        # pass, and +-(10^6, 1) hung it raising coordinates to the 2*10^6
+        g, form, rs = build_gl(1, 1)
+        data = dump_definition(g, form, rs)
+        for root in data["root_system"]["roots"]:
+            sign = 1 if root["weight"][0] > 0 else -1
+            root["weight"] = [sign * w for w in weight]
+        path = tmp_path / "def.json"
+        path.write_text(json.dumps(data))
+        status = main(argv + ["--file", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "contradicts the bracket" in captured.err
         assert "Traceback" not in captured.err
 
     def test_bad_degree_cap_environment(self, capsys, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superalg.errors import NotEigenfunction, SingularOddBlock
-from superalg.liealg import Root, RootSystem
+from superalg.liealg import Root, RootSystem, build_gl
 from superalg.pbw import cartan_poly_eval
 from superalg.radial import (
     RadialOperator,
@@ -20,7 +20,7 @@ from superalg.radial import (
 from superalg.sampling import rand_torus_coords, rng
 from superalg.scalars import gr, I, ONE
 from superalg.smash import TorusElement, gamma_via_sdet
-from superalg.torus import TorusRational, cosh_half, sinh_half, torus_derive
+from superalg.torus import TorusRational, cosh_half, sinh_half, sqrt_scalar_free, torus_derive
 
 
 def sample_regular_points(rs, count, seed):
@@ -226,6 +226,19 @@ class TestRadialOperator:
         bad = TorusRational.monomial(2, (1, 0)) + TorusRational.monomial(2, (2, 0))
         with pytest.raises(NotEigenfunction):
             RadialOperator.certify(bad, lap)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+    def test_certified_c_matches_the_field_ratio(self, m, n):
+        # independent oracle: L(j) / j through canonical TorusRational
+        # arithmetic and its gcds
+        _, form, rs = build_gl(m, n)
+        j, _ = sqrt_scalar_free(gamma_closed_form(rs))
+        lap = TorusLaplacian.from_cartan(rs, form)
+        c = RadialOperator.certify(j, lap).eigenvalue_c
+        assert c == (lap.apply(j) / j).scalar_value()
+        bent = j * (TorusRational.monomial(rs.rank, (1,) + (0,) * (rs.rank - 1)) + 1)
+        with pytest.raises(NotEigenfunction):
+            RadialOperator.certify(bent, lap)
 
 
 class TestApplyRadial:

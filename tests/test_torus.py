@@ -7,6 +7,7 @@ from superalg.sampling import rand_torus_rational, rng
 from superalg.scalars import gr, ONE
 from superalg.torus import (
     LaurentPoly,
+    _poly_sqrt,
     TorusRational,
     cosh_half,
     sinh_half,
@@ -173,6 +174,29 @@ class TestSqrtScalarFree:
             sqrt_scalar_free(s)
         with pytest.raises(NotAScalarSquare):
             sqrt_scalar_free(TorusRational.monomial(2, (1, 0)))
+
+
+    # polynomial parts of sinh of half the weights (1, -1) and (1, 1)
+    SW = LaurentPoly(2, {(2, 0): gr(Fraction(1, 2)), (0, 2): gr(Fraction(-1, 2))})
+    SV = LaurentPoly(2, {(2, 2): gr(Fraction(1, 2)), (0, 0): gr(Fraction(-1, 2))})
+
+    def test_poly_sqrt_recovers_a_repeated_factor(self):
+        s = self.SW * self.SW * self.SV
+        square = s * s * gr(3, -2)
+        root, scale = _poly_sqrt(square.terms)
+        r = LaurentPoly(2, root)
+        assert r * r * scale == square
+        lead = (6, 2)
+        assert s == r * (s.terms[lead] / root[lead])
+        f = TorusRational(square) / TorusRational(self.SV * self.SV)
+        g, c = sqrt_scalar_free(f)
+        assert g * g == c * f
+
+    def test_poly_sqrt_rejects_non_squares(self):
+        s = self.SW * self.SW * self.SV
+        for bad in (self.SW * self.SW * self.SW, s * s + 1):
+            with pytest.raises(NotAScalarSquare):
+                _poly_sqrt(bad.terms)
 
 
 class TestPickle:
