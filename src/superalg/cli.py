@@ -256,17 +256,18 @@ def _cmd_jstruct(config: RunConfig):
     return results, {"dim": target.dim}
 
 
+def _gamma_row(rep: dict) -> dict:
+    """Result row of a check_gamma_oracle report; a failing row names the
+    first three disagreeing points."""
+    witness = None if rep["pass"] else [e for e in rep["points"] if not e.get("agree", True)][:3]
+    return {"check": "gamma-oracle", "pass": rep["pass"], "witness": witness}
+
+
 def _cmd_gamma(config: RunConfig):
     g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True)
     points = _sample_points(rs, config.points, config.seed)
     rep = check_gamma_oracle(rs, form, points)
-    results = [
-        {
-            "check": "gamma-oracle",
-            "pass": rep["pass"],
-            "witness": None if rep["pass"] else [e for e in rep["points"] if not e.get("agree", True)][:3],
-        }
-    ]
+    results = [_gamma_row(rep)]
     values = {
         "sign": rep["sign"],
         "points_tested": len(rep["points"]),
@@ -288,7 +289,7 @@ def _cmd_radial(config: RunConfig):
     poly, fit_rep = extract_P(op, weights)
     ltm = leading_term_match(poly, g, form, rs)
     results = [
-        {"check": "gamma-oracle", "pass": gamma_rep["pass"], "witness": None},
+        _gamma_row(gamma_rep),
         {"check": "eigenfunction", "pass": True, "witness": None},
         {"check": "P-fit", "pass": fit_rep["pass"], "witness": None if fit_rep["pass"] else fit_rep},
         {"check": "leading-term", "pass": ltm["pass"], "witness": None if ltm["pass"] else ltm},

@@ -23,6 +23,11 @@ from .scalars import GaussianRational, ONE, ZERO, gr
 
 EVEN, ODD = 0, 1
 
+# Largest |entry| of a root weight a definition file may carry.  gl(m|n)
+# weights are 0 and +-1; Ad eigenvalues raise coordinates to twice the
+# weight, so an unbounded entry makes every torus computation explode.
+MAX_ROOT_WEIGHT = 64
+
 
 def vec_add(u: dict, v: dict) -> dict:
     out = dict(u)
@@ -35,10 +40,6 @@ def vec_scale(u: dict, s) -> dict:
     if isinstance(s, GaussianRational) and s.is_zero():
         return {}
     return {k: c * s for k, c in u.items()}
-
-
-def vec_is_zero(u: dict) -> bool:
-    return all(c.is_zero() for c in u.values())
 
 
 class LieSuperalgebra:
@@ -542,8 +543,9 @@ def load_definition(text_or_dict):
 
 def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
     """The Cartan (even) and root-vector indices split the basis with its
-    parities, roots come in +/- pairs of one parity, and every weight
-    satisfies the eigen-equations of the bracket table; ValueError if not."""
+    parities, roots come in +/- pairs of one parity, every weight satisfies
+    the eigen-equations of the bracket table, and no weight entry exceeds
+    MAX_ROOT_WEIGHT in absolute value; ValueError if not."""
     parities = {h: EVEN for h in rs.cartan}
     parities.update((r.index, r.parity) for r in rs.roots)
     if len(rs.cartan) + len(rs.roots) != g.dim or parities != dict(enumerate(g.parities)):
@@ -554,3 +556,9 @@ def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
     if not eigen["pass"]:
         h, x = eigen["witness"]
         raise ValueError(f"root_system: weight of {x} contradicts the bracket [{h}, {x}]")
+    for r in rs.roots:
+        if any(abs(w) > MAX_ROOT_WEIGHT for w in r.weight):
+            raise ValueError(
+                f"root_system: weight of {g.names[r.index]} has an entry beyond "
+                f"+-{MAX_ROOT_WEIGHT}"
+            )

@@ -34,16 +34,6 @@ def mat_mul(a, b, zero):
     return out
 
 
-def mat_vec(a, v, zero):
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def identity(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 

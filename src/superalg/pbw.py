@@ -10,6 +10,10 @@ adjacent out-of-order generators via
 until the word is sorted; the result is independent of the swap strategy,
 which the test suite exercises by running two different ones.
 
+Every sum accumulates into one sparse dict, through linalg.add_term or a
+single normalize_terms call over all the words it needs, and becomes an
+element once, at the end; no loop rebuilds an element per term.
+
 Coefficients are Q(i) scalars in ordinary use; any commutative ring object
 with the same operator surface (torus functions in particular) works too.
 """
@@ -259,20 +263,21 @@ def multiply(x: PBWElement, y: PBWElement) -> PBWElement:
 
 
 def super_commutator(x: PBWElement, y: PBWElement) -> PBWElement:
-    """[x, y] = xy - (-1)^{|x||y|} yx, taken termwise on monomial parities."""
+    """[x, y] = xy - (-1)^{|x||y|} yx, taken termwise on monomial parities.
+
+    Both words of every term pair go into one item list, rewritten by a
+    single normalize_terms call."""
     alg = x.alg
-    out = PBWElement(alg, {})
+    parities = alg.parities
+    right = [(word_of(m), c, monomial_parity(m, parities)) for m, c in y.terms.items()]
+    items = []
     for m1, c1 in x.terms.items():
-        p1 = monomial_parity(m1, alg.parities)
-        for m2, c2 in y.terms.items():
-            p2 = monomial_parity(m2, alg.parities)
-            sign = -1 if (p1 and p2) else 1
-            w1, w2 = word_of(m1), word_of(m2)
-            part = normalize_terms(
-                alg, [(w1 + w2, c1 * c2), (w2 + w1, c1 * c2 * (-sign))]
-            )
-            out = out + PBWElement(alg, part)
-    return out
+        w1, p1 = word_of(m1), monomial_parity(m1, parities)
+        for w2, c2, p2 in right:
+            c = c1 * c2
+            items.append((w1 + w2, c))
+            items.append((w2 + w1, c if (p1 and p2) else -c))
+    return PBWElement(alg, normalize_terms(alg, items))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ part matches the Cartan projection of the Casimir under H_i -> lam_i / 2.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .errors import DegenerateForm, NotEigenfunction, SingularOddBlock, SingularPoint
@@ -49,8 +50,13 @@ from .smash import TorusElement, check_frame, gamma_via_sdet
 from .torus import LaurentPoly, TorusRational, sinh_half, sqrt_scalar_free
 
 
+@lru_cache(maxsize=1)
 def gamma_closed_form(rs: RootSystem) -> TorusRational:
-    """The closed form above as an exact torus function."""
+    """The closed form above as an exact torus function.
+
+    Cached for the last root system (RootSystem hashes by identity and
+    TorusRational is immutable), so the gamma oracle and build_radial of
+    one run share one build."""
     t = rs.rank
     r0 = rs.even_roots
     r1 = rs.odd_roots

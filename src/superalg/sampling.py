@@ -45,13 +45,6 @@ def rand_scalar(r: random.Random, complex_prob: float = 0.5) -> GaussianRational
     return GaussianRational(re, im)
 
 
-def rand_nonzero_scalar(r: random.Random) -> GaussianRational:
-    while True:
-        s = rand_scalar(r)
-        if not s.is_zero():
-            return s
-
-
 def rand_torus_coords(r: random.Random, t: int):
     return tuple(gr(r.choice(_COORD_POOL)) for _ in range(t))
 

@@ -276,11 +276,6 @@ def gr(re: Rat = 0, im: Rat = 0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def grf(num: int, den: int = 1, inum: int = 0, iden: int = 1) -> GaussianRational:
-    """Construct from integer numerators/denominators."""
-    return GaussianRational(Fraction(num, den), Fraction(inum, iden))
-
-
 def from_parts(a: int, b: int, d: int = 1) -> GaussianRational:
     """The value (a + b*i)/d from integers, d > 0; reduced here."""
     if d <= 0:

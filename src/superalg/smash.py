@@ -17,6 +17,10 @@ of two terms skips the work its trivial legs make redundant: no Ad scalar
 for an identity point on the right or an empty monomial on the left, no
 torus product with the identity, and no PBW rewriting when either monomial
 is empty.
+
+Sums of elements (the coproduct and antipode over the terms of their
+argument, the antipode convolutions) accumulate into one dict with
+linalg.add_term and wrap it in an element once.
 """
 
 from __future__ import annotations
@@ -284,19 +288,6 @@ class TensorElement:
     def __reduce__(self):
         return TensorElement, (self.alg, self.legs, self.terms)
 
-    def __add__(self, other):
-        if not isinstance(other, TensorElement) or other.legs != self.legs:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return TensorElement(self.alg, self.legs, out)
-
-    def scale(self, s) -> "TensorElement":
-        return TensorElement(
-            self.alg, self.legs, {k: c * s for k, c in self.terms.items()}
-        )
-
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -339,7 +330,7 @@ def coproduct(u: SmashElement) -> TensorElement:
     primitive, extended multiplicatively with Koszul signs."""
     alg = u.alg
     e = TorusElement.identity(alg.t)
-    total = TensorElement(alg, 2, {})
+    total: dict = {}
     for (a, mon), c in u.terms.items():
         acc = TensorElement(alg, 2, {((a, ()), (a, ())): ONE})
         for gen in word_of(mon):
@@ -352,8 +343,9 @@ def coproduct(u: SmashElement) -> TensorElement:
                 },
             )
             acc = acc * prim
-        total = total + acc.scale(c)
-    return total
+        for key, v in acc.terms.items():
+            add_term(total, key, v * c)
+    return TensorElement(alg, 2, total)
 
 
 def coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
@@ -381,10 +373,11 @@ def antipode(u: SmashElement) -> SmashElement:
     """s(g#1) = g^-1 # 1, s(g#X) = -g^-1 # Ad(g)(X), antihomomorphic with
     Koszul signs on higher monomials."""
     alg = u.alg
-    out = SmashElement(alg, {})
+    out: dict = {}
     for (a, mon), c in u.terms.items():
-        out = out + _antipode_term(alg, a, mon).scale(c)
-    return out
+        for key, v in _antipode_term(alg, a, mon).terms.items():
+            add_term(out, key, v * c)
+    return SmashElement(alg, out)
 
 
 def _antipode_term(alg: SmashAlgebra, a: TorusElement, mon: Monomial) -> SmashElement:
@@ -417,7 +410,7 @@ def _antipode_convolution(u: SmashElement, side: str) -> SmashElement:
     """m (Id x s) Delta or m (s x Id) Delta, both of which must equal
     the counit composed with the unit."""
     alg = u.alg
-    out = SmashElement(alg, {})
+    out: dict = {}
     for key, c in coproduct(u).terms.items():
         left = SmashElement(alg, {key[0]: ONE})
         right = SmashElement(alg, {key[1]: ONE})
@@ -425,8 +418,9 @@ def _antipode_convolution(u: SmashElement, side: str) -> SmashElement:
             prod = smash_multiply(left, antipode(right))
         else:
             prod = smash_multiply(antipode(left), right)
-        out = out + prod.scale(c)
-    return out
+        for k, v in prod.terms.items():
+            add_term(out, k, v * c)
+    return SmashElement(alg, out)
 
 
 def _counit_contract(t: TensorElement, leg: int) -> SmashElement:

@@ -344,6 +344,25 @@ class TestCheckFailures:
         assert rep["values"]["P_fit"] == row["witness"]
 
     @pytest.mark.parametrize("command", ["gamma-check", "radial"])
+    def test_wrong_sdet_exits_1_with_gamma_witness(self, command, capsys, monkeypatch):
+        # injected defect: the Jacobian Berezinian tripled at every point
+        import superalg.radial as radial
+
+        real = radial.gamma_via_sdet
+        monkeypatch.setattr(radial, "gamma_via_sdet", lambda rs, a: real(rs, a) * 3)
+        status, rep = run_main(
+            [command, "--algebra", "gl:1,1", "--points", "4", "--seed", "3"], capsys
+        )
+        assert status == 1 and rep["pass"] is False
+        row = next(r for r in rep["results"] if r["check"] == "gamma-oracle")
+        assert row["pass"] is False
+        assert 1 <= len(row["witness"]) <= 3
+        for ent in row["witness"]:
+            assert ent["agree"] is False and len(ent["point"]) == 2
+        others = [r for r in rep["results"] if r["check"] != "gamma-oracle"]
+        assert all(r["pass"] for r in others)
+
+    @pytest.mark.parametrize("command", ["gamma-check", "radial"])
     @pytest.mark.parametrize(
         "defect", ["odd-pairing-zero", "mate-pairing-doubled", "cartan-null"]
     )
@@ -408,6 +427,9 @@ class TestInputBoundary:
             (["hopf-check", "--samples", "1"], "weight-too-short", "weight length"),
             (["radial"], "positives-out-of-range", "positives must index"),
             (["gamma-check"], "form-not-square", "gram matrix must be square"),
+            (["hopf-check", "--samples", "3"], "weights-scaled-1e6", "beyond +-64"),
+            (["gamma-check", "--points", "2"], "weights-scaled-1e6", "beyond +-64"),
+            (["radial"], "weights-scaled-1e6", "beyond +-64"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -436,6 +458,18 @@ class TestInputBoundary:
             data["root_system"]["positives"] = [7]
         elif definition == "form-not-square":
             data["form"][0] = data["form"][0][:-1]
+        elif definition == "weights-scaled-1e6":
+            # the Cartan-odd brackets and the odd weights scaled together
+            # agree with each other, and Jacobi holds because [E21, E12] is
+            # central; unbounded, these runs hung raising torus coordinates
+            # to the power 2*10^6
+            cartan = set(data["root_system"]["cartan"])
+            for b in data["brackets"]:
+                if {b["i"], b["j"]} & cartan and len({b["i"], b["j"]} - cartan) == 1:
+                    for term in b["result"]:
+                        term[0][0] *= 10**6
+            for root in data["root_system"]["roots"]:
+                root["weight"] = [w * 10**6 for w in root["weight"]]
         path = tmp_path / "def.json"
         path.write_text(json.dumps(data))
         status = main(argv + ["--file", str(path)])

@@ -94,6 +94,34 @@ class TestMultiply:
                 )
                 assert got == PBWElement.from_vector(g, g.bracket(i, j))
 
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 1)])
+    def test_commutator_of_random_elements(self, mn):
+        # [x, y] summed over the parity-homogeneous parts x_p, y_q as
+        # x_p y_q - (-1)^{pq} y_q x_p, with the products from multiply
+        g, _, _ = build_gl(*mn)
+
+        def parts(x):
+            out = {}
+            for m, c in x.terms.items():
+                out.setdefault(monomial_parity(m, g.parities), {})[m] = c
+            return {p: PBWElement(g, t) for p, t in out.items()}
+
+        r = rng(23)
+        mixed = odd_pairs = 0
+        for _ in range(40):
+            x = rand_pbw_element(g, r, max_terms=4, max_len=3)
+            y = rand_pbw_element(g, r, max_terms=4, max_len=3)
+            xs, ys = parts(x), parts(y)
+            mixed += len(xs) == 2
+            odd_pairs += 1 in xs and 1 in ys
+            want = PBWElement(g, {})
+            for p, xp in xs.items():
+                for q, yq in ys.items():
+                    sign = -1 if p and q else 1
+                    want = want + multiply(xp, yq) - multiply(yq, xp) * sign
+            assert super_commutator(x, y) == want
+        assert mixed >= 10 and odd_pairs >= 10
+
     def test_parity_bookkeeping(self, gl11):
         g, _, _ = gl11
         r = rng(17)
