@@ -10,6 +10,16 @@ adjacent out-of-order generators via
 until the word is sorted; the result is independent of the swap strategy,
 which the test suite exercises by running two different ones.
 
+normalize_terms merges equal words before it rewrites them.  A swap keeps
+a word's length and every bracket term is one generator shorter, so the
+pending words are kept in one sparse dict per length and the longest
+length goes first: each word is rewritten once, with its whole coefficient
+already summed, and words that cancel are never rewritten.  Under a fixed
+strategy the rewrite of a word is a fixed linear function of that word, so
+merging first gives exactly the dict that rewriting every word on its own
+and summing would give, for any bracket table (Jacobi or not) and any
+coefficient ring.
+
 Every sum accumulates into one sparse dict, through linalg.add_term or a
 single normalize_terms call over all the words it needs, and becomes an
 element once, at the end; no loop rebuilds an element per term.
@@ -60,39 +70,66 @@ def monomial_degree(mon: Monomial) -> int:
     return sum(p for _, p in mon)
 
 
-def _find_violation(word, parities, strategy):
-    rng = range(len(word) - 1)
-    if strategy == "rightmost":
-        rng = reversed(rng)
-    for k in rng:
-        a, b = word[k], word[k + 1]
-        if a > b or (a == b and parities[a]):
-            return k
-    return -1
+STRATEGIES = ("leftmost", "rightmost")
 
 
 def normalize_terms(alg: LieSuperalgebra, items, strategy="leftmost") -> dict:
-    """Rewrite (word, coeff) pairs to normal form; returns {monomial: coeff}."""
+    """Rewrite (word, coeff) pairs to normal form; returns {monomial: coeff}.
+
+    strategy picks the out-of-order pair each step rewrites: the leftmost
+    or the rightmost one."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown rewrite strategy {strategy!r}")
+    leftmost = strategy == "leftmost"
+    step = 1 if leftmost else -1
     parities = alg.parities
-    out: dict = {}
-    stack = [(tuple(w), c) for w, c in items]
-    while stack:
-        word, coeff = stack.pop()
-        k = _find_violation(word, parities, strategy)
-        if k < 0:
-            add_term(out, monomial_of_sorted_word(word, parities), coeff)
+    bracket = alg.bracket
+    by_length: dict = {}
+    for w, c in items:
+        w = tuple(w)
+        add_term(by_length.setdefault(len(w), {}), w, c)
+    done: dict = {}
+    while by_length:
+        n = max(by_length)
+        words = by_length.pop(n)
+        if not words:
             continue
-        a, b = word[k], word[k + 1]
-        head, tail = word[:k], word[k + 2 :]
-        if a == b:
-            # odd square: xx = [x,x]/2
-            for g2, c2 in alg.bracket(a, a).items():
-                stack.append((head + (g2,) + tail, coeff * c2 * HALF))
-        else:
-            sign = -1 if (parities[a] and parities[b]) else 1
-            stack.append((head + (b, a) + tail, coeff * sign))
-            for g2, c2 in alg.bracket(a, b).items():
-                stack.append((head + (g2,) + tail, coeff * c2))
+        if n < 2:
+            for word, coeff in words.items():
+                add_term(done, word, coeff)
+            continue
+        shorter = by_length.setdefault(n - 1, {})
+        last = n - 2
+        for word, coeff in words.items():
+            # follow the word's chain of swaps to its sorted end; a swap at
+            # k can only break the pair just before it (leftmost scan) or
+            # just after it (rightmost scan), so the scan resumes there
+            w = list(word)
+            neg = False
+            k = 0 if leftmost else last
+            while 0 <= k <= last:
+                a, b = w[k], w[k + 1]
+                if a < b or (a == b and not parities[a]):
+                    k += step
+                    continue
+                brk = bracket(a, b)
+                if brk:
+                    cur = -coeff if neg else coeff
+                    head, tail = tuple(w[:k]), tuple(w[k + 2 :])
+                    for g2, c2 in brk.items():
+                        c = cur * c2 * HALF if a == b else cur * c2
+                        add_term(shorter, head + (g2,) + tail, c)
+                if a == b:
+                    break  # odd square: xx = [x,x]/2 and nothing else
+                w[k], w[k + 1] = b, a
+                if parities[a] and parities[b]:
+                    neg = not neg
+                k = max(k - 1, 0) if leftmost else min(k + 1, last)
+            else:
+                add_term(done, tuple(w), -coeff if neg else coeff)
+    out = {}
+    for w, c in done.items():
+        out[monomial_of_sorted_word(w, parities)] = c
     return out
 
 
