@@ -4,7 +4,9 @@ sympy is reached for two services only: the multivariate gcd of two
 non-constant polynomials, and exact division by a non-constant polynomial.
 Both arise in the canonical form of TorusRational (torus.py).  A gcd with a
 nonzero constant operand is the unit 1, and a division by a constant is a
-coefficient scaling, so both are answered here without sympy.
+coefficient scaling, so both are answered here without sympy.  A real
+gcd runs over QQ, any other over Z[i] (ZZ_I) with denominators cleared:
+sympy's gcd over QQ_I crawls in three or more variables.
 `poly_factors` (factorization into irreducibles) has no caller in the
 package; it stays because the benchmark's tracer wraps it by name.
 Everything else (Laurent arithmetic, canonical forms, derivations, square
@@ -83,9 +85,7 @@ def _unit_normalized(terms: dict) -> dict:
 
     gcd is only defined up to a unit, so this is harmless, and it strips a
     global i-power, which moves the common case (real coefficients times a
-    Q(i) unit) onto sympy's much faster rational gcd path; gcd over QQ_I
-    falls back to subresultant remainder sequences, which crawl in three
-    or more variables.
+    Q(i) unit) onto sympy's rational gcd path, faster than the Gaussian one.
     """
     c = terms[min(terms)]
     if c.is_one():
@@ -106,7 +106,10 @@ def poly_gcd(a: dict, b: dict, n: int) -> dict:
     an, bn = _unit_normalized(a), _unit_normalized(b)
     if _is_real(an) and _is_real(bn):
         return _from_poly_real(_to_poly_real(an, n).gcd(_to_poly_real(bn, n)))
-    return _from_poly(_to_poly(an, n).gcd(_to_poly(bn, n)))
+    # the gcd is up to a scalar, so clearing denominators changes nothing
+    a_zi = _to_poly(an, n).clear_denoms(convert=True)[1]
+    b_zi = _to_poly(bn, n).clear_denoms(convert=True)[1]
+    return _from_poly(a_zi.gcd(b_zi))
 
 
 def poly_div_exact(a: dict, b: dict, n: int) -> dict:

@@ -16,19 +16,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotAlmostComplex, NotAnIdeal
-from .liealg import LieSuperalgebra, vec_add, vec_scale
-from .linalg import add_term, rref
+from .liealg import LieSuperalgebra, check_jacobi
+from .linalg import add_scaled, add_term, rref
 from .scalars import GaussianRational, I, ONE, ZERO, gr
 
 
 class JStructure:
-    """Square matrix J[k][i]: J(e_i) = sum_k J[k][i] e_k."""
+    """Square matrix J[k][i]: J(e_i) = sum_k J[k][i] e_k, also kept as the
+    sparse columns {k: J[k][i]} that apply sums."""
 
     def __init__(self, matrix):
         self.matrix = tuple(tuple(row) for row in matrix)
         n = len(self.matrix)
         if any(len(r) != n for r in self.matrix):
             raise ValueError("J matrix must be square")
+        self.columns = tuple(
+            {k: row[i] for k, row in enumerate(self.matrix) if not row[i].is_zero()}
+            for i in range(n)
+        )
 
     @property
     def dim(self):
@@ -37,11 +42,7 @@ class JStructure:
     def apply(self, v: dict) -> dict:
         out: dict = {}
         for i, c in v.items():
-            for k in range(self.dim):
-                m = self.matrix[k][i]
-                if m.is_zero():
-                    continue
-                add_term(out, k, c * m)
+            add_scaled(out, self.columns[i], c)
         return out
 
     def squares_to_minus_id(self) -> bool:
@@ -91,12 +92,13 @@ def validate_J(g: LieSuperalgebra, j: JStructure) -> dict:
 
 def nijenhuis(g: LieSuperalgebra, j: JStructure, a: int, b: int) -> dict:
     """N(X_a, X_b) as a coefficient vector; zero iff no obstruction."""
-    x, y = {a: ONE}, {b: ONE}
-    jx, jy = j.apply(x), j.apply(y)
-    term1 = g.bracket(a, b)
-    term2 = j.apply(vec_add(g.bracket_vec(jx, y), g.bracket_vec(x, jy)))
-    term3 = g.bracket_vec(jx, jy)
-    return vec_add(vec_add(term1, term2), vec_scale(term3, gr(-1)))
+    jx, jy = j.columns[a], j.columns[b]
+    mixed = g.bracket_vec(jx, {b: ONE})
+    add_scaled(mixed, g.bracket_vec({a: ONE}, jy), ONE)
+    out = dict(g.bracket(a, b))
+    add_scaled(out, j.apply(mixed), ONE)
+    add_scaled(out, g.bracket_vec(jx, jy), gr(-1))
+    return out
 
 
 def nijenhuis_report(g: LieSuperalgebra, j: JStructure) -> dict:
@@ -128,8 +130,8 @@ def eigen_split(g: LieSuperalgebra, j: JStructure):
     def build(sign):
         rows = []
         for k in range(n):
-            jv = j.apply({k: ONE})
-            vec = vec_add({k: ONE}, vec_scale(jv, I * gr(-sign)))
+            vec = {k: ONE}
+            add_scaled(vec, j.columns[k], I * gr(-sign))
             rows.append([vec.get(c, ZERO) for c in range(n)])
         red, pivots = rref(rows, ZERO)
         basis = []
@@ -212,8 +214,7 @@ def complexify(g: LieSuperalgebra, p=()) -> ComplexifiedPair:
                     f"ideal generators must be even; {g.names[k]} is odd"
                 )
     if not vectors:
-        rep = _jacobi_report(g)
-        return ComplexifiedPair(g, [], list(range(n)), rep)
+        return ComplexifiedPair(g, [], list(range(n)), check_jacobi(g))
 
     rows = [[v.get(c, ZERO) for c in range(n)] for v in vectors]
     red, pivots = rref(rows, ZERO)
@@ -226,8 +227,8 @@ def complexify(g: LieSuperalgebra, p=()) -> ComplexifiedPair:
         out = dict(vec)
         for r, piv in enumerate(pivots):
             c = out.get(piv)
-            if c is not None and not c.is_zero():
-                out = vec_add(out, vec_scale(basis[r], -c))
+            if c is not None:
+                add_scaled(out, basis[r], -c)
         return out
 
     # ideal check: [g, p] subset span(p)
@@ -258,14 +259,7 @@ def complexify(g: LieSuperalgebra, p=()) -> ComplexifiedPair:
         table,
         meta={"quotient_of": g.meta.get("builder", "custom")},
     )
-    rep = _jacobi_report(quotient)
-    return ComplexifiedPair(quotient, basis, kept, rep)
-
-
-def _jacobi_report(g: LieSuperalgebra) -> dict:
-    from .liealg import check_jacobi
-
-    return check_jacobi(g)
+    return ComplexifiedPair(quotient, basis, kept, check_jacobi(quotient))
 
 
 def realify(g: LieSuperalgebra):

@@ -9,7 +9,8 @@ supertrace form and root decomposition; the basis is ordered
 so that the enveloping-algebra normal form downstream can filter Cartan
 monomials syntactically.
 
-Vectors are sparse dicts {basis index: GaussianRational}.
+Vectors are sparse dicts {basis index: GaussianRational}; every sum of
+them accumulates into one dict through linalg.add_term or add_scaled.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from typing import NamedTuple
 
 from .errors import DegenerateForm, ParseError, ZeroTorusCoordinate
-from .linalg import add_term, inv
+from .linalg import add_scaled, add_term, inv
 from .scalars import GaussianRational, ONE, ZERO, gr
 
 EVEN, ODD = 0, 1
@@ -27,19 +28,6 @@ EVEN, ODD = 0, 1
 # weights are 0 and +-1; Ad eigenvalues raise coordinates to twice the
 # weight, so an unbounded entry makes every torus computation explode.
 MAX_ROOT_WEIGHT = 64
-
-
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        add_term(out, k, c)
-    return out
-
-
-def vec_scale(u: dict, s) -> dict:
-    if isinstance(s, GaussianRational) and s.is_zero():
-        return {}
-    return {k: c * s for k, c in u.items()}
 
 
 class LieSuperalgebra:
@@ -65,9 +53,6 @@ class LieSuperalgebra:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def parity(self, i: int) -> int:
-        return self.parities[i]
 
     def bracket(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
@@ -196,11 +181,14 @@ class QuadraticForm:
                         "check": "supersymmetric",
                         "witness": [g.names[i], g.names[j]],
                     }
+        gram = self.gram
         for i in range(n):
             for j in range(n):
+                b_ij = g.bracket(i, j)
                 for k in range(n):
-                    lhs = self.b_vec(g.bracket(i, j), {k: ONE})
-                    rhs = self.b_vec({i: ONE}, g.bracket(j, k))
+                    # b([X_i, X_j], X_k) = b(X_i, [X_j, X_k])
+                    lhs = sum((c * gram[t][k] for t, c in b_ij.items()), ZERO)
+                    rhs = sum((c * gram[i][t] for t, c in g.bracket(j, k).items()), ZERO)
                     if lhs != rhs:
                         return {
                             "pass": False,
@@ -374,22 +362,17 @@ def build_gl(m: int, n: int):
 
     cartan = [eidx[(a, a)] for a in range(size)]
     roots = []
+    pos_ids = []
     for (a, b), i in eidx.items():
         if a == b:
             continue
+        if a < b:
+            pos_ids.append(len(roots))
         w = [0] * size
         w[a], w[b] = 1, -1
         roots.append(Root(tuple(w), parities[i], i))
-    pos_ids = [ri for ri, r in enumerate(roots) if _is_positive_gl(r, eidx)]
     rs = RootSystem(cartan, roots, pos_ids)
     return g, form, rs
-
-
-def _is_positive_gl(root: Root, eidx) -> bool:
-    for (a, b), i in eidx.items():
-        if i == root.index:
-            return a < b
-    raise ValueError("root index not in basis")
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +411,17 @@ def check_jacobi(g: LieSuperalgebra) -> dict:
     n = g.dim
     for i in range(n):
         for j in range(n):
-            sign = -1 if (g.parities[i] and g.parities[j]) else 1
+            sign = ONE if (g.parities[i] and g.parities[j]) else -ONE
+            b_ij = g.bracket(i, j)
             for k in range(n):
-                lhs = g.bracket_vec({i: ONE}, g.bracket(j, k))
-                t1 = g.bracket_vec(g.bracket(i, j), {k: ONE})
-                t2 = g.bracket_vec({j: ONE}, g.bracket(i, k))
-                rhs = vec_add(t1, vec_scale(t2, gr(sign)))
-                defect = vec_add(lhs, vec_scale(rhs, gr(-1)))
+                # [X_i,[X_j,X_k]] - [[X_i,X_j],X_k] - (-1)^{|i||j|} [X_j,[X_i,X_k]]
+                defect: dict = {}
+                for t, c in g.bracket(j, k).items():
+                    add_scaled(defect, g.bracket(i, t), c)
+                for t, c in b_ij.items():
+                    add_scaled(defect, g.bracket(t, k), -c)
+                for t, c in g.bracket(i, k).items():
+                    add_scaled(defect, g.bracket(j, t), c * sign)
                 if defect:
                     return {
                         "pass": False,
@@ -544,8 +531,8 @@ def load_definition(text_or_dict):
 def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
     """The Cartan (even) and root-vector indices split the basis with its
     parities, roots come in +/- pairs of one parity, every weight satisfies
-    the eigen-equations of the bracket table, and no weight entry exceeds
-    MAX_ROOT_WEIGHT in absolute value; ValueError if not."""
+    the eigen-equations, every bracket [X, Y] lies in weight w_X + w_Y, and
+    no weight entry exceeds MAX_ROOT_WEIGHT in absolute value; else ValueError."""
     parities = {h: EVEN for h in rs.cartan}
     parities.update((r.index, r.parity) for r in rs.roots)
     if len(rs.cartan) + len(rs.roots) != g.dim or parities != dict(enumerate(g.parities)):
@@ -562,3 +549,9 @@ def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
                 f"root_system: weight of {g.names[r.index]} has an entry beyond "
                 f"+-{MAX_ROOT_WEIGHT}"
             )
+    weight = {h: (0,) * rs.rank for h in rs.cartan}
+    weight.update((r.index, r.weight) for r in rs.roots)
+    for (i, j), vec in g.table.items():
+        w = tuple(a + b for a, b in zip(weight[i], weight[j]))
+        if any(weight[k] != w for k in vec):
+            raise ValueError(f"root_system: [{g.names[i]}, {g.names[j]}] leaves weight {list(w)}")

@@ -19,6 +19,12 @@ def add_term(out: dict, key, c) -> None:
         out[key] = c
 
 
+def add_scaled(out: dict, v: dict, s) -> None:
+    """out += s * v on sparse dicts, term by term through add_term."""
+    for key, c in v.items():
+        add_term(out, key, c * s)
+
+
 def mat_mul(a, b, zero):
     n, k = len(a), len(b)
     m = len(b[0]) if k else 0

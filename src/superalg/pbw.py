@@ -299,22 +299,27 @@ def multiply(x: PBWElement, y: PBWElement) -> PBWElement:
     return PBWElement(x.alg, normalize_terms(x.alg, items))
 
 
-def super_commutator(x: PBWElement, y: PBWElement) -> PBWElement:
-    """[x, y] = xy - (-1)^{|x||y|} yx, taken termwise on monomial parities.
+def _words(x: PBWElement) -> list:
+    """(word, coefficient, parity) for every term of x."""
+    parities = x.alg.parities
+    return [(word_of(m), c, monomial_parity(m, parities)) for m, c in x.terms.items()]
 
-    Both words of every term pair go into one item list, rewritten by a
-    single normalize_terms call."""
-    alg = x.alg
-    parities = alg.parities
-    right = [(word_of(m), c, monomial_parity(m, parities)) for m, c in y.terms.items()]
+
+def _commutator(alg: LieSuperalgebra, left: list, right: list) -> PBWElement:
+    """Super commutator of two _words lists: both words of every term pair
+    go into one normalize_terms call."""
     items = []
-    for m1, c1 in x.terms.items():
-        w1, p1 = word_of(m1), monomial_parity(m1, parities)
+    for w1, c1, p1 in left:
         for w2, c2, p2 in right:
             c = c1 * c2
             items.append((w1 + w2, c))
             items.append((w2 + w1, c if (p1 and p2) else -c))
     return PBWElement(alg, normalize_terms(alg, items))
+
+
+def super_commutator(x: PBWElement, y: PBWElement) -> PBWElement:
+    """[x, y] = xy - (-1)^{|x||y|} yx, taken termwise on monomial parities."""
+    return _commutator(x.alg, _words(x), _words(y))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +355,12 @@ def casimir2(g: LieSuperalgebra, form: QuadraticForm) -> PBWElement:
 
 
 def is_central(c: PBWElement, g: LieSuperalgebra) -> dict:
-    """Check [c, X_i] = 0 for every basis generator; exact, with witness."""
+    """Check [c, X_i] = 0 for every basis generator; exact, with witness.
+
+    The words and parities of c are taken once, for all generators."""
+    alg, left = c.alg, _words(c)
     for i in range(g.dim):
-        comm = super_commutator(c, PBWElement.generator(g, i))
+        comm = _commutator(alg, left, [((i,), ONE, alg.parities[i])])
         if not comm.is_zero():
             return {
                 "pass": False,

@@ -430,6 +430,7 @@ class TestInputBoundary:
             (["hopf-check", "--samples", "3"], "weights-scaled-1e6", "beyond +-64"),
             (["gamma-check", "--points", "2"], "weights-scaled-1e6", "beyond +-64"),
             (["radial"], "weights-scaled-1e6", "beyond +-64"),
+            (["hopf-check", "--samples", "3"], "bracket-off-grading", "leaves weight [2, -2]"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -470,6 +471,11 @@ class TestInputBoundary:
                         term[0][0] *= 10**6
             for root in data["root_system"]["roots"]:
                 root["weight"] = [w * 10**6 for w in root["weight"]]
+        elif definition == "bracket-off-grading":
+            # [E12, E12] = E11 keeps parity and symmetry, but E11 has weight
+            # 0, not 2 w(E12); the closed-form antipode needs the grading
+            i11, i12 = g.names.index("E11"), g.names.index("E12")
+            data["brackets"].append({"i": i12, "j": i12, "result": [[[1, 1], [0, 1], i11]]})
         path = tmp_path / "def.json"
         path.write_text(json.dumps(data))
         status = main(argv + ["--file", str(path)])

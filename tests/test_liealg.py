@@ -138,15 +138,17 @@ def test_jacobi_fails_on_fake_bracket(gl11):
     w = rep["witness"]
     # the reported triple must genuinely violate the identity
     i, j, k = w["indices"]
-    from superalg.liealg import vec_add, vec_scale
-
     lhs = bad.bracket_vec({i: ONE}, bad.bracket(j, k))
     sign = -1 if (bad.parities[i] and bad.parities[j]) else 1
-    rhs = vec_add(
-        bad.bracket_vec(bad.bracket(i, j), {k: ONE}),
-        vec_scale(bad.bracket_vec({j: ONE}, bad.bracket(i, k)), gr(sign)),
-    )
-    assert lhs != rhs
+    t1 = bad.bracket_vec(bad.bracket(i, j), {k: ONE})
+    t2 = bad.bracket_vec({j: ONE}, bad.bracket(i, k))
+    keys = set(lhs) | set(t1) | set(t2)
+    defect = {
+        t: lhs.get(t, ZERO) - t1.get(t, ZERO) - t2.get(t, ZERO) * sign for t in keys
+    }
+    defect = {t: c for t, c in defect.items() if not c.is_zero()}
+    assert defect
+    assert w["defect"] == {bad.names[t]: str(c) for t, c in defect.items()}
 
 
 def test_structure_validation_rejects_bad_antisymmetry(gl11):
@@ -210,6 +212,70 @@ class TestAdTorus:
         g, _, rs = gl11
         with pytest.raises(ZeroTorusCoordinate):
             ad_eigenvalue(rs, (ZERO, ONE), 0)
+
+
+def _edited_form(form, edits):
+    """A copy of form with the Gram entries in edits replaced."""
+    gram = [list(row) for row in form.gram]
+    for (i, j), c in edits.items():
+        gram[i][j] = c
+    return QuadraticForm(gram)
+
+
+class TestFormValidation:
+    """Each sub-check of QuadraticForm.validate fails on its own defect,
+    with every earlier sub-check passing."""
+
+    def test_supertrace_form_passes(self, gl21):
+        g, form, _ = gl21
+        assert form.validate(g) == {"pass": True, "witness": None}
+
+    def test_dimension_mismatch(self, gl11, gl21):
+        g, _, _ = gl11
+        _, form, _ = gl21
+        assert form.validate(g) == {"pass": False, "witness": "dimension mismatch"}
+
+    def test_even_fails_on_an_even_odd_entry(self, gl11):
+        g, form, _ = gl11
+        i11, i12 = g.names.index("E11"), g.names.index("E12")
+        bad = _edited_form(form, {(i11, i12): ONE, (i12, i11): ONE})
+        rep = bad.validate(g)
+        assert (rep["pass"], rep["check"]) == (False, "even")
+        assert set(rep["witness"]) == {"E11", "E12"}
+
+    def test_supersymmetric_fails_on_a_symmetric_odd_pairing(self, gl11):
+        g, form, _ = gl11
+        i12, i21 = g.names.index("E12"), g.names.index("E21")
+        # the supertrace gives b(E12, E21) = -b(E21, E12); make them equal
+        bad = _edited_form(form, {(i21, i12): form.b(i12, i21)})
+        rep = bad.validate(g)
+        assert (rep["pass"], rep["check"]) == (False, "supersymmetric")
+        assert set(rep["witness"]) == {"E12", "E21"}
+
+    def test_invariant_fails_on_a_rescaled_cartan_entry(self, gl11):
+        g, form, _ = gl11
+        i11 = g.names.index("E11")
+        # even, supersymmetric and non-degenerate, but b([E12,E21],E11) = 2
+        # while b(E12,[E21,E11]) = 1
+        bad = _edited_form(form, {(i11, i11): gr(2)})
+        rep = bad.validate(g)
+        assert (rep["pass"], rep["check"]) == (False, "invariant")
+        i, j, k = (g.names.index(x) for x in rep["witness"])
+        lhs = bad.b_vec(g.bracket(i, j), {k: ONE})
+        rhs = bad.b_vec({i: ONE}, g.bracket(j, k))
+        assert lhs != rhs
+
+    def test_non_degenerate_fails_on_an_invariant_degenerate_form(self, gl21):
+        # str(XY) - str(X) str(Y) is invariant, since str vanishes on
+        # brackets, and degenerate on gl(2|1): 1 + c str(Id) = 0 at c = -1
+        g, form, rs = gl21
+        sign = {h: form.b(h, h) for h in rs.cartan}
+        bad = _edited_form(
+            form,
+            {(h, k): form.b(h, k) - sign[h] * sign[k] for h in rs.cartan for k in rs.cartan},
+        )
+        rep = bad.validate(g)
+        assert rep == {"pass": False, "check": "non-degenerate", "witness": None}
 
 
 class TestThetaDual:

@@ -344,6 +344,25 @@ class TestCasimir:
         assert not rep["pass"]
         assert rep["witness"]["generator"] == g.names[i21]
 
+    def test_is_central_matches_super_commutator(self, gl21):
+        # is_central takes the words of c once; each witness must still be
+        # the super commutator with its generator, odd parts included
+        g, form, _ = gl21
+        r = rng(23)
+        elements = [casimir2(g, form)] + [rand_pbw_element(g, r) for _ in range(30)]
+        for x in elements:
+            comms = [super_commutator(x, PBWElement.generator(g, i)) for i in range(g.dim)]
+            first = next((i for i, c in enumerate(comms) if not c.is_zero()), None)
+            rep = is_central(x, g)
+            if first is None:
+                assert rep == {"pass": True, "witness": None}
+            else:
+                assert rep["witness"] == {
+                    "generator": g.names[first],
+                    "index": first,
+                    "value": repr(comms[first]),
+                }
+
 
 class TestGelfand:
     def test_k1_is_trace_element(self, gl11):

@@ -6,8 +6,9 @@ import pytest
 
 import superalg.smash as smash_mod
 from superalg.errors import DegreeTooHigh, SingularOddBlock, ZeroTorusCoordinate
-from superalg.linalg import inv, mat_mul
-from superalg.pbw import normalize_terms, pbw_normalize, word_of
+from superalg.liealg import ad_eigenvalue, build_gl
+from superalg.linalg import add_term, inv, mat_mul
+from superalg.pbw import monomial_parity, normalize_terms, pbw_normalize, word_of
 from superalg.sampling import rand_monomial, rand_smash_element, rand_torus_coords, rng
 from superalg.scalars import gr, ONE, ZERO
 from superalg.smash import (
@@ -30,8 +31,6 @@ from superalg.supermatrix import SuperMatrix
 
 
 def regular_points(rs, count, seed):
-    from superalg.liealg import ad_eigenvalue
-
     r = rng(seed)
     out = []
     while len(out) < count:
@@ -240,11 +239,11 @@ class TestAntipode:
 
         a = TorusElement((gr(3), gr(Fraction(1, 2))))
         u = alg11.group_like(a)
-        assert _antipode_convolution(u, "right") == alg11.unit()
-        assert _antipode_convolution(u, "left") == alg11.unit()
+        assert _antipode_convolution(coproduct(u), "right") == alg11.unit()
+        assert _antipode_convolution(coproduct(u), "left") == alg11.unit()
         x = alg11.primitive(alg11.g.names.index("E12"))
-        assert _antipode_convolution(x, "right").is_zero()
-        assert _antipode_convolution(x, "left").is_zero()
+        assert _antipode_convolution(coproduct(x), "right").is_zero()
+        assert _antipode_convolution(coproduct(x), "left").is_zero()
 
     def test_hopf_axioms_random(self, alg11):
         rep = check_hopf_axioms(alg11, samples=100, seed=99)
@@ -336,6 +335,63 @@ _HOPF_DEFECTS = {
         "_twist", lambda real: _twist_without_sign, {"super_cocommutativity"},
     ),
 }
+
+
+def recursive_antipode(u):
+    """The antipode as its antihomomorphic extension, one generator at a
+    time: the differential oracle for the closed form in smash.antipode."""
+    alg = u.alg
+    out: dict = {}
+    for (a, mon), c in u.terms.items():
+        for key, v in _antipode_term(alg, a, mon).terms.items():
+            add_term(out, key, v * c)
+    return SmashElement(alg, out)
+
+
+def _antipode_term(alg, a, mon):
+    if not mon:
+        return SmashElement(alg, {(a.inverse(), ()): ONE})
+    gen = mon[0][0]
+    rest = ((mon[0][0], mon[0][1] - 1),) if mon[0][1] > 1 else ()
+    rest = rest + mon[1:]
+    # g # mon = (g # gen) * (e # rest); s(xy) = (-1)^{|x||y|} s(y) s(x)
+    p_gen = alg.g.parities[gen]
+    p_rest = monomial_parity(rest, alg.g.parities)
+    sign = gr(-1) if (p_gen and p_rest) else ONE
+    s_head = SmashElement(
+        alg,
+        {(a.inverse(), ((gen, 1),)): -ad_eigenvalue(alg.rs, a.coords, gen)},
+    )
+    if not rest:
+        return s_head
+    e = TorusElement.identity(alg.t)
+    s_rest = _antipode_term(alg, e, rest)
+    return smash_multiply(s_rest, s_head).scale(sign)
+
+
+class TestAntipodeOracle:
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+    def test_closed_form_matches_the_recursion(self, m, n):
+        g, _, rs = build_gl(m, n)
+        alg = SmashAlgebra(g, rs)
+        r = rng(40 + 10 * m + n)
+        for _ in range(300):
+            u = rand_smash_element(alg, r, max_terms=3, degree_cap=4)
+            assert antipode(u) == recursive_antipode(u), u
+            # all terms at one point share one rewrite
+            for a, _ in list(u.terms)[:1]:
+                v = SmashElement(alg, {(a, mon): c for (_, mon), c in u.terms.items()})
+                assert antipode(v) == recursive_antipode(v), v
+
+    def test_odd_words_of_every_length(self, alg21):
+        # reversing k odd letters costs the Koszul sign (-1)^(k(k-1)/2)
+        g = alg21.g
+        odd = [i for i, p in enumerate(g.parities) if p]
+        a = TorusElement((gr(2), gr(3), gr(Fraction(1, 5))))
+        for k in range(len(odd) + 1):
+            for gens in itertools.combinations(odd, k):
+                u = alg21.element(a, tuple((x, 1) for x in gens), gr(3))
+                assert antipode(u) == recursive_antipode(u)
 
 
 class TestHopfChecksCatchDefects:
@@ -445,8 +501,6 @@ class TestJacobian:
                 assert form.b(h, root.index) == ZERO
 
     def test_full_rank_iff_no_unit_eigenvalue(self, gl21):
-        from superalg.liealg import ad_eigenvalue
-
         g, form, rs = gl21
         r = rng(61)
         seen_regular = seen_singular = False
