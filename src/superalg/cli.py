@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     CheckFailed,
+    DegenerateForm,
     NotAnIdeal,
     ParseError,
     SingularPoint,
@@ -95,8 +96,14 @@ class RunConfig:
             raise ParseError(f"{DEGREE_CAP_ENV}: {exc}") from exc
 
 
-def _load_algebra(config: RunConfig, need_roots=False, need_form=False):
-    """Resolve --algebra gl:m,n or --file path into algebra objects."""
+def _load_algebra(config: RunConfig, need_roots=False, need_form=False, need_lie=False):
+    """Resolve --algebra gl:m,n or --file path into algebra objects.
+
+    need_lie is for the suites that take a file's bracket table as a Lie
+    superalgebra without checking it: the table must satisfy super Jacobi
+    (ParseError otherwise) and, with need_form, its form must pass
+    QuadraticForm.validate (DegenerateForm otherwise); both exit 2.  build,
+    check-jacobi and complexify report these as failing checks instead."""
     if config.file:
         loaded = load_definition(_read_text(config.file))
         g = loaded["algebra"]
@@ -107,6 +114,8 @@ def _load_algebra(config: RunConfig, need_roots=False, need_form=False):
             raise ParseError("algebra file carries no quadratic form")
         if need_roots and rs is None:
             raise ParseError("algebra file carries no root system")
+        if need_lie:
+            _require_lie(g, form if need_form else None)
         return g, form, rs, jm
     spec = config.algebra or "gl:1,1"
     if not spec.startswith("gl:"):
@@ -119,6 +128,20 @@ def _load_algebra(config: RunConfig, need_roots=False, need_form=False):
         raise UnsupportedAlgebra("builder needs m >= 1 and n >= 1")
     g, form, rs = build_gl(m, n)
     return g, form, rs, None
+
+
+def _require_lie(g: LieSuperalgebra, form=None) -> None:
+    """ParseError naming the first failing triple of super Jacobi, or
+    DegenerateForm naming the first failing sub-check of the form."""
+    rep = check_jacobi(g)
+    if not rep["pass"]:
+        triple = ", ".join(rep["witness"]["triple"])
+        raise ParseError(f"bracket table fails super Jacobi at ({triple})")
+    if form is not None:
+        rep = form.validate(g)  # load_definition has matched the dimensions
+        if not rep["pass"]:
+            at = f" at ({', '.join(rep['witness'])})" if rep["witness"] else ""
+            raise DegenerateForm(f"quadratic form is not {rep['check']}{at}")
 
 
 def _read_text(path: str) -> str:
@@ -224,7 +247,7 @@ def _cmd_casimir(config: RunConfig):
 
 
 def _cmd_hopf(config: RunConfig):
-    g, _, rs, _ = _load_algebra(config, need_roots=True)
+    g, _, rs, _ = _load_algebra(config, need_roots=True, need_lie=True)
     alg = SmashAlgebra(g, rs)
     rep = check_hopf_axioms(
         alg, config.samples, config.seed, config.effective_degree_cap()
@@ -264,7 +287,7 @@ def _gamma_row(rep: dict) -> dict:
 
 
 def _cmd_gamma(config: RunConfig):
-    g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True)
+    g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True, need_lie=True)
     points = _sample_points(rs, config.points, config.seed)
     rep = check_gamma_oracle(rs, form, points)
     results = [_gamma_row(rep)]
@@ -278,7 +301,7 @@ def _cmd_gamma(config: RunConfig):
 
 
 def _cmd_radial(config: RunConfig):
-    g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True)
+    g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True, need_lie=True)
     need = weights_needed(rs.rank)
     if config.weights < need:
         raise ParseError(f"--weights must be at least {need} for torus rank {rs.rank}")

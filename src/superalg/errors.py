@@ -20,7 +20,9 @@ class NotAScalarSquare(SuperalgError):
 
 
 class DegenerateForm(SuperalgError):
-    """A quadratic form that must be non-degenerate is singular."""
+    """A quadratic form that a computation relies on is unusable: singular,
+    not even, supersymmetric and invariant, or without an orthosymplectic
+    root frame."""
 
 
 class ZeroTorusCoordinate(SuperalgError):

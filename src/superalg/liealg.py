@@ -154,13 +154,6 @@ class QuadraticForm:
     def b(self, i: int, j: int) -> GaussianRational:
         return self.gram[i][j]
 
-    def b_vec(self, u: dict, v: dict) -> GaussianRational:
-        acc = ZERO
-        for i, ci in u.items():
-            for j, cj in v.items():
-                acc = acc + ci * cj * self.gram[i][j]
-        return acc
-
     def validate(self, g: LieSuperalgebra) -> dict:
         """Check even / supersymmetric / invariant / non-degenerate."""
         n = self.dim
@@ -473,11 +466,6 @@ def theta_dual(form: QuadraticForm) -> list:
         raise DegenerateForm("gram matrix is singular")
     n = form.dim
     return [[gi[i][k] for i in range(n)] for k in range(n)]  # transpose of inverse
-
-
-def theta_vec(form: QuadraticForm, i: int) -> dict:
-    m = theta_dual(form)
-    return {k: m[k][i] for k in range(form.dim) if not m[k][i].is_zero()}
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,6 @@ class PBWElement:
     def generator(cls, alg, i: int) -> "PBWElement":
         return cls(alg, {((i, 1),): ONE})
 
-    @classmethod
-    def from_vector(cls, alg, vec: dict) -> "PBWElement":
-        return cls(alg, {((i, 1),): c for i, c in vec.items()})
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:

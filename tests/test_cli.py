@@ -22,6 +22,21 @@ def without_timing(report):
     return out
 
 
+def non_jacobi_gl11():
+    """gl(1|1) with [E12, E21] = E11 - E22: graded, so it loads, but it
+    breaks super Jacobi (and the form's invariance)."""
+    g, form, rs = build_gl(1, 1)
+    data = dump_definition(g, form, rs)
+    i12, i21 = g.names.index("E12"), g.names.index("E21")
+    for ent in data["brackets"]:
+        if {ent["i"], ent["j"]} == {i12, i21}:
+            ent["result"] = [
+                [[1, 1], [0, 1], g.names.index("E11")],
+                [[-1, 1], [0, 1], g.names.index("E22")],
+            ]
+    return data
+
+
 class TestCommands:
     def test_casimir_check_central(self, capsys):
         status, rep = run_main(
@@ -121,16 +136,8 @@ class TestFiles:
 
     def test_check_jacobi_bad_file(self, capsys, tmp_path):
         # corrupt one structure constant: [E12,E21] hits E22 with -1
-        g, _, _ = build_gl(1, 1)
-        data = dump_definition(g)
-        i12, i21 = g.names.index("E12"), g.names.index("E21")
-        i22 = g.names.index("E22")
-        for ent in data["brackets"]:
-            if {ent["i"], ent["j"]} == {i12, i21}:
-                ent["result"] = [
-                    [[1, 1], [0, 1], g.names.index("E11")],
-                    [[-1, 1], [0, 1], i22],
-                ]
+        data = non_jacobi_gl11()
+        del data["form"], data["root_system"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         status, rep = run_main(["check-jacobi", "--file", str(path)], capsys)
@@ -138,6 +145,22 @@ class TestFiles:
         assert rep["pass"] is False
         jac = [r for r in rep["results"] if r["check"] == "jacobi"][0]
         assert jac["witness"]["triple"]
+
+    @pytest.mark.parametrize(
+        "command, failing",
+        [
+            ("build", ["jacobi", "quadratic-form"]),
+            ("check-jacobi", ["jacobi"]),
+            ("complexify", ["quotient-jacobi"]),
+        ],
+    )
+    def test_non_jacobi_file_is_a_failing_check(self, command, failing, capsys, tmp_path):
+        # the commands that check Jacobi themselves report it as a row
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(non_jacobi_gl11()))
+        status, rep = run_main([command, "--file", str(path)], capsys)
+        assert status == 1
+        assert [r["check"] for r in rep["results"] if not r["pass"]] == failing
 
     def test_jstruct_check_loads_J_from_file(self, capsys, tmp_path):
         from superalg.jstruct import realify
@@ -367,6 +390,8 @@ class TestCheckFailures:
         "defect", ["odd-pairing-zero", "mate-pairing-doubled", "cartan-null"]
     )
     def test_degenerate_frame_exits_2(self, command, defect, capsys, tmp_path):
+        # the form check at load refuses each of these forms before a frame
+        # is built; tests/test_smash.py::TestCheckFrame tests the frame check
         from superalg.liealg import QuadraticForm
 
         g, form, rs = build_gl(1, 1)
@@ -431,6 +456,17 @@ class TestInputBoundary:
             (["gamma-check", "--points", "2"], "weights-scaled-1e6", "beyond +-64"),
             (["radial"], "weights-scaled-1e6", "beyond +-64"),
             (["hopf-check", "--samples", "3"], "bracket-off-grading", "leaves weight [2, -2]"),
+            # these three once passed on a table that is not a Lie superalgebra
+            (["hopf-check", "--samples", "50", "--degree-cap", "3"], "non-jacobi",
+             "fails super Jacobi at (E21, E21, E12)"),
+            (["gamma-check", "--points", "4"], "non-jacobi",
+             "fails super Jacobi at (E21, E21, E12)"),
+            (["radial", "--points", "2", "--weights", "6"], "non-jacobi",
+             "fails super Jacobi at (E21, E21, E12)"),
+            (["gamma-check", "--points", "4"], "form-not-invariant",
+             "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
+            (["radial", "--points", "2", "--weights", "6"], "form-not-invariant",
+             "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -442,17 +478,19 @@ class TestInputBoundary:
         if definition == "non-square-J":
             real, j = realify(g)
             data = dump_definition(real, j_matrix=[row[:-1] for row in j.matrix])
+        elif definition == "non-jacobi":
+            data = non_jacobi_gl11()
         else:
             data = dump_definition(g, form, rs)
         if definition == "odd-weights-zero":  # Ad is 1 on every odd root
             for root in data["root_system"]["roots"]:
                 root["weight"] = [0] * len(root["weight"])
             # the Cartan must then commute with the odd vectors, or the
-            # weights contradict the bracket table and loading fails first
-            cartan = set(data["root_system"]["cartan"])
-            data["brackets"] = [
-                b for b in data["brackets"] if not ({b["i"], b["j"]} & cartan)
-            ]
+            # weights contradict the bracket table and loading fails first;
+            # and [E21, E12] = E11 + E22 must go too, or the supertrace form
+            # is no longer invariant and the form check fails first.  The
+            # abelian algebra that is left keeps the form valid.
+            data["brackets"] = []
         elif definition == "weight-too-short":
             data["root_system"]["roots"][0]["weight"] = [1]
         elif definition == "positives-out-of-range":
@@ -471,6 +509,11 @@ class TestInputBoundary:
                         term[0][0] *= 10**6
             for root in data["root_system"]["roots"]:
                 root["weight"] = [w * 10**6 for w in root["weight"]]
+        elif definition == "form-not-invariant":
+            # b(E11, E11) = 2: even, supersymmetric, non-degenerate, and
+            # b([E21, E12], E11) = 2 while b(E21, [E12, E11]) = 1
+            i11 = g.names.index("E11")
+            data["form"][i11][i11] = [2, 1, 0, 1]
         elif definition == "bracket-off-grading":
             # [E12, E12] = E11 keeps parity and symmetry, but E11 has weight
             # 0, not 2 w(E12); the closed-form antipode needs the grading

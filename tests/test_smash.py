@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 
 import superalg.smash as smash_mod
-from superalg.errors import DegreeTooHigh, SingularOddBlock, ZeroTorusCoordinate
-from superalg.liealg import ad_eigenvalue, build_gl
+from superalg.errors import (
+    DegenerateForm,
+    DegreeTooHigh,
+    SingularOddBlock,
+    ZeroTorusCoordinate,
+)
+from superalg.liealg import QuadraticForm, ad_eigenvalue, build_gl
 from superalg.linalg import add_term, inv, mat_mul
 from superalg.pbw import monomial_parity, normalize_terms, pbw_normalize, word_of
 from superalg.sampling import rand_monomial, rand_smash_element, rand_torus_coords, rng
@@ -16,11 +21,14 @@ from superalg.smash import (
     SmashElement,
     TensorElement,
     TorusElement,
+    _shuffle_split,
     _term_product,
     antipode,
+    check_frame,
     check_hopf_axioms,
     conjugation_pullback,
     coproduct,
+    coproduct_leg,
     counit,
     gamma_via_sdet,
     jacobian_at,
@@ -311,6 +319,18 @@ def _twist_without_sign(t):
     return TensorElement(t.alg, 2, {(k2, k1): c for (k1, k2), c in t.terms.items()})
 
 
+def _split_without_sign(real):
+    """_shuffle_split with every Koszul sign dropped."""
+    return lambda mon, parities: [(l, r, abs(k)) for l, r, k in real(mon, parities)]
+
+
+def _split_without_binomial(real):
+    """_shuffle_split that counts each split of a power once."""
+    return lambda mon, parities: [
+        (l, r, 1 if k > 0 else -1) for l, r, k in real(mon, parities)
+    ]
+
+
 _HOPF_DEFECTS = {
     "coproduct_leg-doubles-leg-1": (
         "coproduct_leg", _double_nontrivial_leg1, {"coassociativity"},
@@ -329,6 +349,14 @@ _HOPF_DEFECTS = {
     ),
     "antipode-as-homomorphism": (
         "antipode", _antipode_as_homomorphism, {"antipode_right", "antipode_left"},
+    ),
+    # coproduct_leg expands by the closed form and coproduct by the
+    # definition, so only coassociativity sees the split
+    "split-without-koszul-sign": (
+        "_shuffle_split", _split_without_sign, {"coassociativity"},
+    ),
+    "split-without-binomial": (
+        "_shuffle_split", _split_without_binomial, {"coassociativity"},
     ),
     # odd (x) odd terms are rare among the samples: 6 of 100 at seed 7
     "twist-without-sign": (
@@ -392,6 +420,42 @@ class TestAntipodeOracle:
             for gens in itertools.combinations(odd, k):
                 u = alg21.element(a, tuple((x, 1) for x in gens), gr(3))
                 assert antipode(u) == recursive_antipode(u)
+
+
+class TestCoproductClosedForm:
+    """coproduct_leg expands a leg by the closed form _shuffle_split;
+    coproduct is the algebra-map definition.  They must agree."""
+
+    def test_split_of_two_odd_letters_and_an_even_square(self, alg11):
+        g = alg11.g
+        i11, i12, i21 = (g.names.index(x) for x in ("E11", "E12", "E21"))
+        # E21 sent left crosses E12 sent right: the one Koszul sign
+        assert sorted(_shuffle_split(((i12, 1), (i21, 1)), g.parities)) == sorted([
+            ((), ((i12, 1), (i21, 1)), 1),
+            (((i12, 1),), ((i21, 1),), 1),
+            (((i21, 1),), ((i12, 1),), -1),
+            (((i12, 1), (i21, 1)), (), 1),
+        ])
+        assert sorted(_shuffle_split(((i11, 2),), g.parities)) == sorted([
+            ((), ((i11, 2),), 1),
+            (((i11, 1),), ((i11, 1),), 2),
+            (((i11, 2),), (), 1),
+        ])
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+    def test_one_leg_expansion_equals_the_coproduct(self, m, n):
+        g, _, rs = build_gl(m, n)
+        alg = SmashAlgebra(g, rs)
+        r = rng(70 + 10 * m + n)
+        powers = odd_pairs = 0
+        for _ in range(200):
+            u = rand_smash_element(alg, r, max_terms=3, degree_cap=5)
+            one_leg = TensorElement(alg, 1, {(key,): c for key, c in u.terms.items()})
+            assert coproduct_leg(one_leg, 0) == coproduct(u), u
+            for _, mon in u.terms:
+                powers += any(p >= 2 for _, p in mon)
+                odd_pairs += sum(g.parities[x] for x, _ in mon) >= 2
+        assert powers and odd_pairs
 
 
 class TestHopfChecksCatchDefects:
@@ -526,7 +590,7 @@ class TestGammaSdet:
         val = gamma_via_sdet(rs, TorusElement((gr(2), gr(1))))
         assert val in (gr(Fraction(4, 9)), gr(Fraction(-4, 9)))
 
-    def test_frame_is_symplectic_on_odd_part(self, gl21):
+    def test_frame_is_symplectic_on_odd_part(self, gl21, b_vec):
         g, form, rs = gl21
         fe, fo = orthosymplectic_frame(rs, form)
         # columns of fe are b-orthogonal and none is b-null
@@ -537,7 +601,7 @@ class TestGammaSdet:
         ]
         for c, u in enumerate(cols):
             for d, v in enumerate(cols):
-                assert form.b_vec(u, v).is_zero() == (c != d)
+                assert b_vec(form, u, v).is_zero() == (c != d)
         # columns of fo pair odd roots into couples with b(u, v) = 1
         odd_ids = [r.index for r in rs.odd_roots]
         ncols = len(fo)
@@ -548,8 +612,8 @@ class TestGammaSdet:
                 for k in range(ncols)
                 if not fo[k][c + 1].is_zero()
             }
-            assert form.b_vec(u, v) == ONE
-            assert form.b_vec(v, u) == gr(-1)
+            assert b_vec(form, u, v) == ONE
+            assert b_vec(form, v, u) == gr(-1)
 
     def test_antipode_involution_random(self, alg11):
         # super co-commutativity forces s(s(u)) = u; this exercises every
@@ -579,6 +643,28 @@ class TestGammaSdet:
         for (_, form, rs), seed in ((gl21, 42), (gl22, 43)):
             for a in regular_points(rs, 10, seed):
                 assert framed_berezinian(rs, form, a) == gamma_via_sdet(rs, a)
+
+
+class TestCheckFrame:
+    def test_accepts_the_supertrace_form(self, gl21, gl22):
+        for _, form, rs in (gl21, gl22):
+            check_frame(rs, form)
+
+    @pytest.mark.parametrize(
+        "defect", ["odd-pairing-zero", "mate-pairing-doubled", "cartan-null"]
+    )
+    def test_refuses_a_form_without_a_root_frame(self, defect, gl11):
+        g, form, rs = gl11
+        i12, i21 = g.names.index("E12"), g.names.index("E21")  # X_beta, X_-beta
+        gram = [list(row) for row in form.gram]
+        if defect == "odd-pairing-zero":
+            gram[i12][i21] = gram[i21][i12] = gr(0)
+        elif defect == "mate-pairing-doubled":
+            gram[i21][i12] = gram[i21][i12] * 2
+        else:
+            gram[g.names.index("E11")][g.names.index("E11")] = gr(0)
+        with pytest.raises(DegenerateForm):
+            check_frame(rs, QuadraticForm(gram))
 
 
 class TestPickle:
