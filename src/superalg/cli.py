@@ -219,7 +219,7 @@ def _cmd_check_jacobi(config: RunConfig):
 
 
 def _cmd_casimir(config: RunConfig):
-    g, form, rs, _ = _load_algebra(config, need_form=True)
+    g, form, rs, _ = _load_algebra(config, need_form=True, need_lie=True)
     kind = config.kind or ("casimir2" if config.order == 2 else "gelfand")
     if kind == "casimir2" and config.order != 2:
         raise ParseError(f"casimir2 has order 2, not --order {config.order}")
@@ -264,7 +264,7 @@ def _cmd_hopf(config: RunConfig):
 
 
 def _cmd_jstruct(config: RunConfig):
-    g, form, rs, jm = _load_algebra(config)
+    g, form, rs, jm = _load_algebra(config, need_lie=True)
     if jm is not None:
         j = JStructure(jm)  # load_definition checked the shape
         target = g

@@ -21,6 +21,10 @@ def _freeze(rows):
     return tuple(tuple(r) for r in rows)
 
 
+def _is_zero_block(rows):
+    return all(x.is_zero() for row in rows for x in row)
+
+
 class SuperMatrix:
     __slots__ = ("p", "q", "a", "b", "c", "d", "zero", "one")
 
@@ -84,8 +88,7 @@ class SuperMatrix:
         return rows
 
     def is_block_diagonal(self) -> bool:
-        off = [x for row in self.b for x in row] + [x for row in self.c for x in row]
-        return all(x.is_zero() for x in off)
+        return _is_zero_block(self.b) and _is_zero_block(self.c)
 
     # -- algebra ------------------------------------------------------------
 
@@ -112,15 +115,22 @@ class SuperMatrix:
         return hash((self.p, self.q, self.a, self.b, self.c, self.d))
 
     def berezinian(self):
-        """det(A - B D^-1 C) / det(D); raises SingularOddBlock if det(D) = 0."""
+        """det(A - B D^-1 C) / det(D); raises SingularOddBlock if det(D) = 0.
+
+        When B or C is zero, B D^-1 C vanishes and the value is
+        det(A) / det(D), with D never inverted.  That covers every even
+        supermatrix over a purely even ring such as Q(i) or the torus
+        functions: with no odd scalars, its off-diagonal blocks are zero."""
         if self.q == 0:
             return det(self.a, self.zero)
-        dinv = inv(self.d, self.zero, self.one)
-        if dinv is None:
-            raise SingularOddBlock("odd-odd block is singular")
         det_d = det(self.d, self.zero)
+        if det_d.is_zero():
+            raise SingularOddBlock("odd-odd block is singular")
         if self.p == 0:
             return self.one / det_d
+        if _is_zero_block(self.b) or _is_zero_block(self.c):
+            return det(self.a, self.zero) / det_d
+        dinv = inv(self.d, self.zero, self.one)
         bc = mat_mul(mat_mul(self.b, dinv, self.zero), self.c, self.zero)
         schur = [
             [self.a[i][j] - bc[i][j] for j in range(self.p)] for i in range(self.p)

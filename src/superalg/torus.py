@@ -198,14 +198,24 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, out)
 
     def eval(self, point: Sequence[GaussianRational]) -> GaussianRational:
+        """Value at a point, summed term by term in the order of `terms`.
+
+        Each coordinate keeps a table {k: z**k} for this call, filled on
+        first use of an exponent, negative ones included; a term then
+        costs one product per nonzero exponent.  A zero coordinate raises
+        ZeroDivisionError at the first negative exponent it meets."""
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
+        tables = [{} for _ in point]
         total = ZERO
         for e, c in self.terms.items():
             val = c
-            for z, k in zip(point, e):
+            for z, k, powers in zip(point, e, tables):
                 if k:
-                    val = val * z ** k
+                    zk = powers.get(k)
+                    if zk is None:
+                        zk = powers[k] = z ** k
+                    val = val * zk
             total = total + val
         return total
 

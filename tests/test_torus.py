@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from superalg.errors import NotAScalarSquare
-from superalg.sampling import rand_torus_rational, rng
-from superalg.scalars import gr, ONE
+from superalg.sampling import rand_laurent, rand_scalar, rand_torus_rational, rng
+from superalg.scalars import gr, ONE, ZERO
 from superalg.torus import (
     LaurentPoly,
     _poly_sqrt,
@@ -139,6 +139,58 @@ class TestArithmetic:
             f = rand_torus_rational(r, 2)
             back = TorusRational.from_json(2, f.to_json())
             assert back == f
+
+
+def eval_term_by_term(p, point):
+    """The term-by-term evaluation LaurentPoly.eval replaced: z ** k for
+    every term and coordinate, with a fresh inverse for each k < 0."""
+    total = ZERO
+    for e, c in p.terms.items():
+        val = c
+        for z, k in zip(point, e):
+            if k:
+                val = val * z ** k
+        total = total + val
+    return total
+
+
+def nonzero_scalar(r):
+    while True:
+        z = rand_scalar(r)
+        if not z.is_zero():
+            return z
+
+
+class TestEvalPowerTables:
+    def test_matches_term_by_term_on_random_polynomials(self):
+        r = rng(2026)
+        negative = 0
+        for nvars in (1, 2, 3, 4):
+            for _ in range(60):
+                p = rand_laurent(r, nvars, max_terms=12, max_exp=5)
+                negative += any(k < 0 for e in p.terms for k in e)
+                point = [nonzero_scalar(r) for _ in range(nvars)]
+                assert p.eval(point) == eval_term_by_term(p, point)
+        assert negative > 100  # negative exponents, and so inverses, occurred
+
+    def test_zero_coordinate(self):
+        r = rng(17)
+        vanished = raised = 0
+        for _ in range(200):
+            p = rand_laurent(r, 3, max_terms=6, max_exp=3)
+            point = [nonzero_scalar(r) for _ in range(3)]
+            point[r.randrange(3)] = ZERO
+            at_zero = [e[i] for e in p.terms for i, z in enumerate(point) if z.is_zero()]
+            if any(k < 0 for k in at_zero):
+                raised += 1
+                with pytest.raises(ZeroDivisionError):
+                    p.eval(point)
+                with pytest.raises(ZeroDivisionError):
+                    eval_term_by_term(p, point)
+            else:
+                vanished += any(k > 0 for k in at_zero)  # a term is 0 there
+                assert p.eval(point) == eval_term_by_term(p, point)
+        assert raised > 20 and vanished > 20
 
 
 class TestSqrtScalarFree:
