@@ -463,16 +463,16 @@ class TestInputBoundary:
              "fails super Jacobi at (E21, E21, E12)"),
             (["radial", "--points", "2", "--weights", "6"], "non-jacobi",
              "fails super Jacobi at (E21, E21, E12)"),
-            # these two once ran on it: jstruct-check passed, and casimir
-            # failed blaming central
+            (["gamma-check", "--points", "4"], "form-not-invariant",
+             "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
+            (["radial", "--points", "2", "--weights", "6"], "form-not-invariant",
+             "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
+            # these two once ran on the non-Jacobi table: jstruct-check
+            # passed, and casimir failed blaming central
             (["jstruct-check"], "non-jacobi", "fails super Jacobi at (E21, E21, E12)"),
             (["casimir", "--order", "2", "--check-central"], "non-jacobi",
              "fails super Jacobi at (E21, E21, E12)"),
             (["casimir", "--order", "2", "--check-central"], "form-not-invariant",
-             "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
-            (["gamma-check", "--points", "4"], "form-not-invariant",
-             "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
-            (["radial", "--points", "2", "--weights", "6"], "form-not-invariant",
              "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
         ],
     )
