@@ -18,6 +18,7 @@ RUNGS=(
   "casimir --algebra gl:3,3 --kind gelfand --order 5 --check-central --seed 1"
   "hopf-check --algebra gl:2,2 --samples 20 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:3,1 --samples 30 --degree-cap 5 --seed 1"
+  "hopf-check --algebra gl:1,3 --samples 40 --degree-cap 4 --seed 1"
   "build --algebra gl:3,3 --seed 1"
   "jstruct-check --algebra gl:2,2 --seed 1"
 )

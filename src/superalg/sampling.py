@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import GaussianRational, gr
+from .scalars import GaussianRational, from_parts, gr
 from .torus import LaurentPoly, TorusRational
 
 # small nonzero values used for torus coordinates; chosen so products and
@@ -27,26 +27,28 @@ _COORD_POOL = [
     Fraction(-1, 2),
     Fraction(3, 2),
 ]
+# the same values as scalars, in the same order, so r.choice draws the same
+# stream and no Fraction is converted per draw
+_COORD_SCALARS = [gr(x) for x in _COORD_POOL]
 
 
 def rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def rand_fraction(r: random.Random, max_num: int = 4, max_den: int = 3) -> Fraction:
-    num = r.randint(-max_num, max_num)
-    den = r.randint(1, max_den)
-    return Fraction(num, den)
-
-
 def rand_scalar(r: random.Random, complex_prob: float = 0.5) -> GaussianRational:
-    re = rand_fraction(r)
-    im = rand_fraction(r) if r.random() < complex_prob else Fraction(0)
-    return GaussianRational(re, im)
+    """a/d + (b/e) i with |a|, |b| <= 4 and 1 <= d, e <= 3, drawn in the
+    order a, d, then b, e with probability complex_prob (b = 0 otherwise);
+    built from the integers, with no Fraction."""
+    a, d = r.randint(-4, 4), r.randint(1, 3)
+    if r.random() < complex_prob:
+        b, e = r.randint(-4, 4), r.randint(1, 3)
+        return from_parts(a * e, b * d, d * e)
+    return from_parts(a, 0, d)
 
 
 def rand_torus_coords(r: random.Random, t: int):
-    return tuple(gr(r.choice(_COORD_POOL)) for _ in range(t))
+    return tuple(r.choice(_COORD_SCALARS) for _ in range(t))
 
 
 def rand_laurent(

@@ -19,12 +19,25 @@ powers of each letter, a Koszul sign for each odd letter sent left past an
 odd letter sent right.  The coassociativity check applies the closed form
 to each leg of the definition's Delta(u), so it compares the two.
 
-Every key of every element holds a torus point, so points hash once, from
-the integer triples of their coordinates, when they are built.  The product
-of two terms skips the work its trivial legs make redundant: no Ad scalar
-for an identity point on the right or an empty monomial on the left, no
-torus product with the identity, and no PBW rewriting when either monomial
-is empty.
+Every key of every element holds a torus point, and every term of
+Delta(a # m) carries the same point a on both legs, so the antipode axioms
+meet one point, its inverse and their Ad eigenvalues once per term.  That
+work is done once per point instead:
+
+- a TorusElement computes its hash and identity flag when it is built, and
+  its inverse on first use, linked back so that a * a^-1 is the identity
+  without a coordinate product.  Points are immutable, so nothing cached
+  on one can go stale; a point pickles as its coordinates alone.
+- SmashAlgebra.ad_monomial reads a table {generator: Ad eigenvalue} per
+  point, filled one generator at a time, while SmashAlgebra.ad_tables()
+  is open.  check_hopf_axioms opens it around each sample, so the tables
+  live for one sample; outside it nothing is kept, and a pickled algebra
+  carries none.
+
+The product of two terms skips the work its trivial legs make redundant: no
+Ad scalar for an identity point on the right or an empty monomial on the
+left, no torus product with the identity, and no PBW rewriting when either
+monomial is empty.
 
 Sums of elements (the coproduct, the antipode convolutions) accumulate
 into one dict with linalg.add_term and wrap it in an element once.
@@ -32,6 +45,7 @@ into one dict with linalg.add_term and wrap it in an element once.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -48,17 +62,28 @@ from .pbw import (
 from .scalars import GaussianRational, I, ONE, ZERO, gr
 from .supermatrix import SuperMatrix
 
+_MINUS_ONE = gr(-1)
+
 
 class TorusElement:
     """Point of the torus, coordinates z_i = value of exp(y_i/2).
 
-    The hash is computed once, at construction, from the reduced integer
-    triples of the coordinates (`GaussianRational.parts`).  Each triple is
-    unique for its value, so points that compare equal hash equally, and a
-    dict lookup costs no scalar hashing.
+    A point is immutable, so whatever is derived from its coordinates alone
+    is computed once and kept on it:
+
+    - the hash, at construction, from the reduced integer triples of the
+      coordinates (`GaussianRational.parts`).  Each triple is unique for its
+      value, so points that compare equal hash equally, and a dict lookup
+      costs no scalar hashing;
+    - the identity flag, at construction;
+    - the inverse, on the first `inverse()` call.  The two points are linked
+      both ways, so `a.inverse().inverse() is a`, and `a * a.inverse()` is
+      the identity without a coordinate product.
+
+    The cached fields are not pickled: a point pickles as its coordinates.
     """
 
-    __slots__ = ("coords", "_hash")
+    __slots__ = ("coords", "_hash", "_is_e", "_inv")
 
     def __init__(self, coords):
         cs = tuple(
@@ -68,8 +93,7 @@ class TorusElement:
         for c in cs:
             if c.is_zero():
                 raise ZeroTorusCoordinate("torus coordinates must be nonzero")
-        _set_coords(self, cs)
-        _set_hash(self, hash(tuple(c.parts() for c in cs)))
+        _init(self, cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusElement is immutable")
@@ -84,13 +108,20 @@ class TorusElement:
     def __mul__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
+        if other is self._inv:
+            return _torus((ONE,) * len(self.coords))
         return _torus(tuple(a * b for a, b in zip(self.coords, other.coords)))
 
     def inverse(self) -> "TorusElement":
-        return _torus(tuple(c.inverse() for c in self.coords))
+        inv = self._inv
+        if inv is None:
+            inv = _torus(tuple(c.inverse() for c in self.coords))
+            _set_inv(self, inv)
+            _set_inv(inv, self)
+        return inv
 
     def is_identity(self) -> bool:
-        return all(c.is_one() for c in self.coords)
+        return self._is_e
 
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
@@ -113,24 +144,51 @@ class TorusElement:
 
 _set_coords = TorusElement.coords.__set__
 _set_hash = TorusElement._hash.__set__
+_set_is_e = TorusElement._is_e.__set__
+_set_inv = TorusElement._inv.__set__
+
+
+def _init(a: TorusElement, coords: tuple) -> None:
+    """Fill the slots of a point from its nonzero coordinates."""
+    _set_coords(a, coords)
+    _set_hash(a, hash(tuple(c.parts() for c in coords)))
+    _set_is_e(a, all(c.is_one() for c in coords))
+    _set_inv(a, None)
 
 
 def _torus(coords: tuple) -> TorusElement:
     """TorusElement from a tuple of nonzero GaussianRationals, unchecked:
     products and inverses of nonzero coordinates are nonzero."""
     a = object.__new__(TorusElement)
-    _set_coords(a, coords)
-    _set_hash(a, hash(tuple(c.parts() for c in coords)))
+    _init(a, coords)
     return a
 
 
 class SmashAlgebra:
-    """Context object tying a type I algebra to its torus action."""
+    """Context object tying a type I algebra to its torus action.
+
+    Inside `ad_tables()` (one `check_hopf_axioms` sample), `ad_monomial`
+    keeps each point's Ad eigenvalues in a table {generator: eigenvalue},
+    filled one generator at a time; outside it, nothing is kept.  The
+    tables are not pickled."""
 
     def __init__(self, g: LieSuperalgebra, rs: RootSystem):
         self.g = g
         self.rs = rs
         self.t = rs.rank
+        self._ad = None  # {point: {generator: Ad eigenvalue}} in ad_tables()
+
+    def __reduce__(self):
+        return SmashAlgebra, (self.g, self.rs)
+
+    @contextmanager
+    def ad_tables(self):
+        """Keep the Ad eigenvalues of every point met until the block ends."""
+        self._ad = {}
+        try:
+            yield
+        finally:
+            self._ad = None
 
     def unit(self) -> "SmashElement":
         return SmashElement(
@@ -149,9 +207,12 @@ class SmashAlgebra:
 
     def ad_monomial(self, a: TorusElement, mon: Monomial) -> GaussianRational:
         """Eigenvalue of Ad(a) on the PBW monomial (acts factorwise)."""
+        table = {} if self._ad is None else self._ad.setdefault(a, {})
         val = ONE
         for gen, p in mon:
-            ev = ad_eigenvalue(self.rs, a.coords, gen)
+            ev = table.get(gen)
+            if ev is None:
+                ev = table[gen] = ad_eigenvalue(self.rs, a.coords, gen)
             for _ in range(p):
                 val = val * ev
         return val
@@ -316,7 +377,7 @@ class TensorElement:
                 for i in range(self.legs):
                     for j in range(i):
                         s += p1[i] * p2[j]
-                sign = gr(-1) if s % 2 else ONE
+                sign = _MINUS_ONE if s % 2 else ONE
                 # multiply legwise; each legwise product may have many terms
                 legs_products = [
                     _term_product(alg, k1[i], k2[i]) for i in range(self.legs)
@@ -478,11 +539,7 @@ def _twist(t: TensorElement) -> TensorElement:
     alg = t.alg
     out: dict = {}
     for (k1, k2), c in t.terms.items():
-        sign = (
-            gr(-1)
-            if term_parity(alg, k1) and term_parity(alg, k2)
-            else ONE
-        )
+        sign = _MINUS_ONE if term_parity(alg, k1) and term_parity(alg, k2) else ONE
         add_term(out, (k2, k1), c * sign)
     return TensorElement(alg, 2, out)
 
@@ -504,37 +561,22 @@ def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: in
     failures = []
     for trial in range(samples):
         u = rand_smash_element(alg, r, max_terms=3, degree_cap=degree_cap)
-        eps_u = counit(u)
-        unit_scaled = alg.unit().scale(eps_u)
-        delta = coproduct(u)
-
-        def fail(name, detail=""):
-            failures.append({"check": name, "trial": trial, "witness": repr(u), "detail": detail})
-
-        if _antipode_convolution(delta, "right") == unit_scaled:
-            checks["antipode_right"] += 1
-        else:
-            fail("antipode_right")
-        if _antipode_convolution(delta, "left") == unit_scaled:
-            checks["antipode_left"] += 1
-        else:
-            fail("antipode_left")
-        if _counit_contract(delta, 0) == u:
-            checks["counit_left"] += 1
-        else:
-            fail("counit_left")
-        if _counit_contract(delta, 1) == u:
-            checks["counit_right"] += 1
-        else:
-            fail("counit_right")
-        if coproduct_leg(delta, 0) == coproduct_leg(delta, 1):
-            checks["coassociativity"] += 1
-        else:
-            fail("coassociativity")
-        if _twist(delta) == delta:
-            checks["super_cocommutativity"] += 1
-        else:
-            fail("super_cocommutativity")
+        unit_scaled = alg.unit().scale(counit(u))
+        with alg.ad_tables():
+            delta = coproduct(u)
+            passed = {
+                "antipode_right": _antipode_convolution(delta, "right") == unit_scaled,
+                "antipode_left": _antipode_convolution(delta, "left") == unit_scaled,
+                "counit_left": _counit_contract(delta, 0) == u,
+                "counit_right": _counit_contract(delta, 1) == u,
+                "coassociativity": coproduct_leg(delta, 0) == coproduct_leg(delta, 1),
+                "super_cocommutativity": _twist(delta) == delta,
+            }
+        for name, ok in passed.items():
+            if ok:
+                checks[name] += 1
+            else:
+                failures.append({"check": name, "trial": trial, "witness": repr(u), "detail": ""})
     return {
         "pass": not failures,
         "samples": samples,
@@ -583,7 +625,7 @@ def conjugation_pullback(
     # -(-1)^{|X_a||X_b|} Ad(a^-1)(X_b) X_a
     pa = monomial_parity(mon_a, g.parities)
     pb = g.parities[xb]
-    sign = ONE if (pa and pb) else gr(-1)
+    sign = ONE if (pa and pb) else _MINUS_ONE
     scale2 = (
         ad_eigenvalue(alg.rs, a.inverse().coords, xb)
         * ad_eigenvalue(alg.rs, b.coords, xb)

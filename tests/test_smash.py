@@ -11,7 +11,7 @@ from superalg.errors import (
     SingularOddBlock,
     ZeroTorusCoordinate,
 )
-from superalg.liealg import QuadraticForm, ad_eigenvalue, build_gl
+from superalg.liealg import QuadraticForm, RootSystem, ad_eigenvalue, build_gl
 from superalg.linalg import add_term, inv, mat_mul
 from superalg.pbw import monomial_parity, normalize_terms, pbw_normalize, word_of
 from superalg.sampling import rand_monomial, rand_smash_element, rand_torus_coords, rng
@@ -99,6 +99,81 @@ class TestTorusElement:
             assert a == built[0] and hash(a) == hash(built[0])
             assert table[a] == "point"
         assert TorusElement((2, 1, 1)) != TorusElement((2, 1, -1))
+
+    def test_inverse_is_computed_once_and_linked_both_ways(self):
+        a = TorusElement((gr(2), gr(Fraction(1, 3), -1), gr(-1)))
+        assert a.inverse() is a.inverse()
+        assert a.inverse().inverse() is a
+        assert a.inverse() == TorusElement((gr(Fraction(1, 2)), gr(Fraction(3, 10), Fraction(9, 10)), gr(-1)))
+
+    def test_product_with_the_inverse_is_the_identity(self):
+        a = TorusElement((gr(3), gr(Fraction(1, 2), 2)))
+        e = TorusElement.identity(2)
+        for prod in (a * a.inverse(), a.inverse() * a):
+            assert prod == e and hash(prod) == hash(e)
+            assert prod.is_identity()
+        assert e.is_identity() and not a.is_identity()
+        # a point equal to the inverse but built apart multiplies out
+        b = TorusElement(a.inverse().coords)
+        assert (a * b).is_identity() and a * b == e
+
+    def test_immutable(self):
+        a = TorusElement((gr(2), gr(3)))
+        a.inverse()
+        for name in ("coords", "_hash", "_is_e", "_inv", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+
+
+class TestAdTables:
+    def test_each_algebra_keeps_its_own_values_for_one_point(self, gl21):
+        # gl(2|1) and gl(1|2) list their basis in the same order with the
+        # same weights, so their Ad values agree; gl(1|2) with its Cartan
+        # basis listed in reverse is a valid root system of rank 3 whose
+        # weights, and so Ad values, differ.  A table keyed on the point
+        # alone would hand the first algebra's values to the others.
+        g12, _, rs12 = build_gl(1, 2)
+        flipped = RootSystem(
+            rs12.cartan[::-1],
+            [r._replace(weight=r.weight[::-1]) for r in rs12.roots],
+            rs12.positives,
+        )
+        assert flipped.validate(g12)["pass"]
+        g21, _, rs21 = gl21
+        algs = [SmashAlgebra(g21, rs21), SmashAlgebra(g12, rs12), SmashAlgebra(g12, flipped)]
+        a = TorusElement((gr(2), gr(3), gr(Fraction(-1, 2), 1)))
+        gens = range(g12.dim)
+        want = [[ad_eigenvalue(alg.rs, a.coords, i) for i in gens] for alg in algs]
+        assert want[2] != want[1]
+        with algs[0].ad_tables(), algs[1].ad_tables(), algs[2].ad_tables():
+            for _ in range(2):  # the second round reads the tables
+                for alg, values in zip(algs, want):
+                    assert [alg.ad_monomial(a, ((i, 1),)) for i in gens] == values
+                    mon = ((1, 1), (6, 2), (8, 1))
+                    assert alg.ad_monomial(a, mon) == values[1] * values[6] ** 2 * values[8]
+
+    def test_tables_last_one_block(self, alg11):
+        a = TorusElement((gr(2), gr(3)))
+        i12 = alg11.g.names.index("E12")
+        assert alg11._ad is None
+        with alg11.ad_tables():
+            assert alg11.ad_monomial(a, ((i12, 1),)) == gr(Fraction(4, 9))
+            assert alg11._ad == {a: {i12: gr(Fraction(4, 9))}}
+        assert alg11._ad is None
+        assert alg11.ad_monomial(a, ((i12, 1),)) == gr(Fraction(4, 9))
+        assert alg11._ad is None
+
+    def test_unknown_basis_index_raises_at_its_call(self, gl21):
+        g, _, rs = gl21
+        partial = RootSystem(rs.cartan, [r for r in rs.roots if r.index != 0], [])
+        alg = SmashAlgebra(g, partial)
+        a = TorusElement((gr(2), gr(3), gr(5)))
+        with alg.ad_tables():
+            assert alg.ad_monomial(a, ((1, 1),)) == ad_eigenvalue(rs, a.coords, 1)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="neither Cartan nor a root"):
+                    alg.ad_monomial(a, ((1, 1), (0, 1)))
+            assert 0 not in alg._ad[a]
 
 
 class TestSmashProduct:
@@ -215,6 +290,26 @@ class TestCoalgebra:
         key_yx = ((e, ((i21, 1),)), (e, ((i12, 1),)))
         assert lhs.terms[key_xy] == ONE
         assert lhs.terms[key_yx] == gr(-1)
+
+    def test_twist_keeps_the_coproduct_of_two_odd_letters(self, alg11):
+        # Delta(e # X_b X_-b) on gl(1|1), written out by hand:
+        # X_b X_-b = -X_-b X_b + [X_b, X_-b] in PBW order, [E12, E21] = E11 + E22,
+        # and the cross terms X_b x X_-b - X_-b x X_b carry the Koszul sign
+        g = alg11.g
+        xb, xmb, h1, h2 = (g.names.index(n) for n in ("E12", "E21", "E11", "E22"))
+        e = TorusElement.identity(2)
+        one = (e, ())
+        yx = (e, ((xmb, 1), (xb, 1)))
+        cartan = [(e, ((h1, 1),)), (e, ((h2, 1),))]
+        terms = {(yx, one): -ONE, (one, yx): -ONE}
+        for h in cartan:
+            terms[(h, one)] = terms[(one, h)] = ONE
+        terms[((e, ((xb, 1),)), (e, ((xmb, 1),)))] = ONE
+        terms[((e, ((xmb, 1),)), (e, ((xb, 1),)))] = -ONE
+        delta = TensorElement(alg11, 2, terms)
+        assert delta == coproduct(smash_multiply(alg11.primitive(xb), alg11.primitive(xmb)))
+        assert smash_mod._twist(delta) == delta
+        assert _twist_without_sign(delta) != delta
 
     def test_counit(self, alg11):
         a = TorusElement((gr(2), gr(1)))
@@ -674,6 +769,24 @@ class TestPickle:
         a = TorusElement((gr(2), gr(Fraction(1, 3), -1)))
         back = pickle.loads(pickle.dumps(a))
         assert back == a and hash(back) == hash(a)
+
+    def test_torus_element_pickles_without_its_inverse(self):
+        a = TorusElement((gr(2), gr(Fraction(1, 3), -1)))
+        before = pickle.dumps(a)
+        a_inv = a.inverse()
+        assert pickle.dumps(a) == before
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and hash(back) == hash(a)
+        assert back.inverse() == a_inv and back.inverse().inverse() is back
+
+    def test_smash_algebra_pickles_without_its_ad_tables(self, alg11):
+        a = TorusElement((gr(2), gr(3)))
+        with alg11.ad_tables():
+            alg11.ad_monomial(a, ((alg11.g.names.index("E12"), 1),))
+            assert alg11._ad
+            back = pickle.loads(pickle.dumps(alg11))
+        assert back._ad is None and alg11._ad is None
+        assert back.g.names == alg11.g.names and back.t == alg11.t
 
     def test_smash_and_tensor_elements(self, alg11):
         import pickle
