@@ -35,7 +35,6 @@ from .liealg import (
     QuadraticForm,
     Root,
     RootSystem,
-    ad_torus,
     build_gl,
     check_jacobi,
     check_structure,
@@ -83,7 +82,6 @@ from .radial import (
     apply_radial_C2,
     build_radial,
     check_gamma_oracle,
-    eval_gamma,
     extract_P,
     gamma_closed_form,
     leading_term_match,

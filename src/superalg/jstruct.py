@@ -150,8 +150,12 @@ def check_eigenspace_brackets(g: LieSuperalgebra, j: JStructure) -> dict:
     Also re-derives the vanishing mechanism: on eigenvectors J-linearity
     forces i[u,v] = [Ju,v] = [u,Jv] = -i[u,v], so the J-linearity of the
     bracket on the eigenbasis pairs is checked alongside the direct sweep.
+    A J with J^2 != -Id has no such eigenspaces and fails the check.
     """
-    plus, minus = eigen_split(g, j)
+    try:
+        plus, minus = eigen_split(g, j)
+    except NotAlmostComplex:
+        return {"pass": False, "check": "J^2=-Id", "witness": None}
     for ui, u in enumerate(plus):
         for vi, v in enumerate(minus):
             if g.bracket_vec(u, v):

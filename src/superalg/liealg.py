@@ -446,16 +446,6 @@ def ad_eigenvalue(rs: RootSystem, coords, index: int) -> GaussianRational:
     return val
 
 
-def ad_torus(rs: RootSystem, coords, v: dict) -> dict:
-    """Ad(a) acting on a vector in the Cartan + root basis."""
-    out = {}
-    for idx, c in v.items():
-        scaled = c * ad_eigenvalue(rs, coords, idx)
-        if not scaled.is_zero():
-            out[idx] = scaled
-    return out
-
-
 def theta_dual(form: QuadraticForm) -> list:
     """Matrix M with theta(V_i) = sum_k M[k][i] V_k and b(theta(V_i), V_j) = delta_ij.
 

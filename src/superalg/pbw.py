@@ -31,6 +31,7 @@ with the same operator surface (torus functions in particular) works too.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .liealg import LieSuperalgebra, QuadraticForm, RootSystem, theta_dual
 from .linalg import add_term
@@ -326,27 +327,25 @@ def super_commutator(x: PBWElement, y: PBWElement) -> PBWElement:
 def casimir2(g: LieSuperalgebra, form: QuadraticForm) -> PBWElement:
     """Order-two Casimir: sum_{i,k} b(theta(V_i), theta(V_k)) V_k V_i.
 
+    With M = theta_dual(form), b(theta(V_i), V_c) = delta_ic and b is linear
+    in its second argument, so b(theta(V_i), theta(V_k)) = M[i][k]: the
+    coefficients are read off M.
+
     The product order is transposed against the form arguments.  With the
     order V_i V_k the element fails centrality already on gl(1|1) (the
-    commutator with E21 is -4 E21 E11 - 4 E21 E22, checked by hand); the
-    transposed order is central on every builder and coincides with the
-    standard supertrace Casimir sum (-1)^{|b|} E_ab E_ba.  Only odd-odd
-    coefficients are affected, so the even Cartan part is unchanged.
+    commutator with E21 is -4 E21 E11 - 4 E21 E22); the injected-defect
+    test TestCasimir.test_untransposed_word_order_is_not_central in
+    tests/test_pbw.py builds that order and checks that is_central rejects
+    it.  The transposed order is central on every builder and
+    coincides with the standard supertrace Casimir sum (-1)^{|b|} E_ab E_ba.
+    Only odd-odd coefficients are affected, so the even Cartan part is
+    unchanged.
     """
     m = theta_dual(form)  # may raise DegenerateForm
     n = g.dim
-    # b(theta(V_i), theta(V_k)) = (M^T G M)[i][k]
-    items = []
-    for i in range(n):
-        for k in range(n):
-            acc = ZERO
-            for a in range(n):
-                if m[a][i].is_zero():
-                    continue
-                for c in range(n):
-                    acc = acc + m[a][i] * form.gram[a][c] * m[c][k]
-            if not acc.is_zero():
-                items.append(((k, i), acc))
+    items = [
+        ((k, i), m[i][k]) for i in range(n) for k in range(n) if not m[i][k].is_zero()
+    ]
     return PBWElement(g, normalize_terms(g, items))
 
 
@@ -370,37 +369,21 @@ def gelfand_invariant(g: LieSuperalgebra, k: int) -> PBWElement:
 
         sum (-1)^{|a_2|+...+|a_k|} E_{a1 a2} E_{a2 a3} ... E_{ak a1}
 
-    Only builds the element; is_central certifies it.
+    The index tuples (a1, ..., ak) run over itertools.product(range(m + n),
+    repeat=k), in lexicographic order.  Only builds the element;
+    is_central certifies it.
     """
     if k < 1:
         raise ValueError("order must be >= 1")
     if g.meta.get("builder") != "gl":
         raise ValueError("gelfand invariants need a gl(m|n) builder output")
     m, n = g.meta["m"], g.meta["n"]
-    size = m + n
     eidx = g.meta["eidx"]
-
-    def par(a):
-        return 0 if a < m else 1
-
     items = []
-    idx = [0] * k
-    while True:
-        word = tuple(
-            eidx[(idx[s], idx[(s + 1) % k])] for s in range(k)
-        )
-        sign = (-1) ** sum(par(a) for a in idx[1:])
+    for idx in product(range(m + n), repeat=k):
+        word = tuple(eidx[(idx[s], idx[(s + 1) % k])] for s in range(k))
+        sign = (-1) ** sum(a >= m for a in idx[1:])  # odd indices are a >= m
         items.append((word, gr(sign)))
-        # odometer over indices
-        pos = k - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < size:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
     return PBWElement(g, normalize_terms(g, items))
 
 

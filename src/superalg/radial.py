@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .errors import DegenerateForm, NotEigenfunction, SingularOddBlock, SingularPoint
+from .errors import DegenerateForm, NotEigenfunction, SingularOddBlock
 from .liealg import QuadraticForm, RootSystem
 from .linalg import rref
 from .pbw import cartan_poly_eval, casimir2, project_to_cartan
@@ -69,15 +69,6 @@ def gamma_closed_form(rs: RootSystem) -> TorusRational:
         s = sinh_half(t, root.weight)
         gamma = gamma / (s * s)
     return gamma
-
-
-def eval_gamma(rs: RootSystem, point: TorusElement) -> GaussianRational:
-    """Closed-form gamma at a torus point; SingularPoint on the bad locus."""
-    gamma = gamma_closed_form(rs)
-    den = gamma.den.eval(point.coords)
-    if den.is_zero():
-        raise SingularPoint("gamma has a pole at this torus point")
-    return gamma.num.eval(point.coords) / den
 
 
 def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:

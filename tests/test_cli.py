@@ -188,6 +188,23 @@ class TestFiles:
         assert status == 1
         assert not rep["pass"]
 
+    def test_jstruct_check_not_almost_complex_J_from_file(self, capsys, tmp_path):
+        # a well-formed J with J^2 != -Id is a failing check, not malformed input
+        from superalg.jstruct import realify
+
+        g, _, _ = build_gl(1, 1)
+        real, _ = realify(g)
+        jm = [[ONE if r == c else gr(0) for c in range(real.dim)] for r in range(real.dim)]
+        path = tmp_path / "identity_j.json"
+        path.write_text(json.dumps(dump_definition(real, j_matrix=jm)))
+        status, rep = run_main(["jstruct-check", "--file", str(path)], capsys)
+        assert status == 1
+        rows = {r["check"]: r for r in rep["results"]}
+        assert rows["validate-J"]["pass"] is False
+        assert rows["validate-J"]["detail"] == "J^2=-Id"
+        assert rows["eigenspace-brackets"]["pass"] is False
+        assert rows["eigenspace-brackets"]["detail"] == "J^2=-Id"
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ nope")

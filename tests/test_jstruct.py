@@ -115,6 +115,12 @@ class TestEigenspaceBrackets:
         g, j = abelian_rotation
         assert check_eigenspace_brackets(g, j)["pass"]
 
+    def test_not_almost_complex_fails(self, abelian_rotation):
+        # eigen_split raises on J^2 != -Id; the check reports a failure
+        g, _ = abelian_rotation
+        rep = check_eigenspace_brackets(g, JStructure([[ONE, ZERO], [ZERO, ONE]]))
+        assert rep == {"pass": False, "check": "J^2=-Id", "witness": None}
+
     def test_counterexample_fails(self, bad_j_gl11):
         g, j = bad_j_gl11
         rep = check_eigenspace_brackets(g, j)

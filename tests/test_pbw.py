@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from superalg.errors import DegenerateForm
-from superalg.liealg import LieSuperalgebra, QuadraticForm, build_gl, check_jacobi
+from superalg.liealg import (
+    LieSuperalgebra,
+    QuadraticForm,
+    build_gl,
+    check_jacobi,
+    theta_dual,
+)
 from superalg.linalg import add_term
 from superalg.pbw import (
     STRATEGIES,
@@ -314,6 +320,48 @@ class TestMultiply:
                 assert monomial_parity(mon, g.parities) == (p1 + p2) % 2
 
 
+# The order-two Casimir as casimir2 built it before it read the coefficients
+# off theta_dual, kept verbatim as the oracle: each coefficient
+# b(theta(V_i), theta(V_k)) is summed as (M^T G M)[i][k] over the Gram
+# matrix.
+
+
+def gram_casimir2_items(g: LieSuperalgebra, form: QuadraticForm) -> list:
+    """(word, coeff) items of sum_{i,k} b(theta(V_i), theta(V_k)) V_k V_i."""
+    m = theta_dual(form)
+    n = g.dim
+    # b(theta(V_i), theta(V_k)) = (M^T G M)[i][k]
+    items = []
+    for i in range(n):
+        for k in range(n):
+            acc = ZERO
+            for a in range(n):
+                if m[a][i].is_zero():
+                    continue
+                for c in range(n):
+                    acc = acc + m[a][i] * form.gram[a][c] * m[c][k]
+            if not acc.is_zero():
+                items.append(((k, i), acc))
+    return items
+
+
+def str_plus_trace_form(mn, alpha, beta):
+    """gl(m|n) with the invariant form alpha str(XY) + beta str(X) str(Y);
+    for beta != 0 its Cartan block is not diagonal."""
+    g, form, _ = build_gl(*mn)
+    m, size = mn[0], sum(mn)
+    eidx = g.meta["eidx"]
+    strace = [ZERO] * g.dim
+    for a in range(size):
+        strace[eidx[(a, a)]] = ONE if a < m else gr(-1)
+    alpha, beta = gr(alpha), gr(beta)
+    gram = [
+        [alpha * form.gram[i][j] + beta * strace[i] * strace[j] for j in range(g.dim)]
+        for i in range(g.dim)
+    ]
+    return g, QuadraticForm(gram)
+
+
 class TestCasimir:
     def test_purely_even_abelian_orthonormal(self):
         g = LieSuperalgebra(["A", "B"], [0, 0], {})
@@ -329,6 +377,36 @@ class TestCasimir:
         assert ok and parity == 0
         assert c2.degree() == 2
         assert is_central(c2, g)["pass"]
+
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_matches_gram_oracle_supertrace(self, mn):
+        g, form, _ = build_gl(*mn)
+        want = normalize_terms(g, gram_casimir2_items(g, form))
+        # same monomials in the same order, so reports stay byte-identical
+        assert list(casimir2(g, form).terms.items()) == list(want.items())
+
+    @pytest.mark.parametrize("mn, alpha, beta", [((1, 1), 2, 3), ((2, 1), 2, 5)])
+    def test_matches_gram_oracle_non_supertrace(self, mn, alpha, beta):
+        g, form = str_plus_trace_form(mn, alpha, beta)
+        assert form.validate(g)["pass"]
+        eidx = g.meta["eidx"]
+        assert not form.gram[eidx[(0, 0)]][eidx[(1, 1)]].is_zero()
+        c2 = casimir2(g, form)
+        want = normalize_terms(g, gram_casimir2_items(g, form))
+        assert list(c2.terms.items()) == list(want.items())
+        assert c2 != casimir2(g, build_gl(*mn)[1])
+        assert is_central(c2, g)["pass"]
+
+    @pytest.mark.parametrize(
+        "mn, witness", [((1, 1), "E21"), ((1, 2), "E21"), ((2, 1), "E31"), ((2, 2), "E31")]
+    )
+    def test_untransposed_word_order_is_not_central(self, mn, witness):
+        # injected defect: the word V_i V_k in place of V_k V_i
+        g, form, _ = build_gl(*mn)
+        items = [((i, k), c) for (k, i), c in gram_casimir2_items(g, form)]
+        rep = is_central(PBWElement(g, normalize_terms(g, items)), g)
+        assert not rep["pass"]
+        assert rep["witness"]["generator"] == witness
 
     def test_degenerate_form_raises(self):
         g = LieSuperalgebra(["A", "B"], [0, 0], {})

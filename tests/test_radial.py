@@ -89,15 +89,6 @@ class TestGammaClosedForm:
         )
         assert gamma_closed_form(rs) == TorusRational.const(2, -1)
 
-    def test_eval_gamma_raises_on_pole(self, gl11):
-        from superalg.errors import SingularPoint
-        from superalg.radial import eval_gamma
-
-        _, _, rs = gl11
-        assert eval_gamma(rs, TorusElement((gr(2), gr(1)))) == gr(Fraction(4, 9))
-        with pytest.raises(SingularPoint):
-            eval_gamma(rs, TorusElement((gr(3), gr(3))))
-
     def test_center_shift_invariance(self, gl21):
         # gamma only sees root directions: scaling every coordinate by s
         # leaves it unchanged, structurally and numerically
