@@ -22,6 +22,7 @@ RUNGS=(
   "hopf-check --algebra gl:1,3 --samples 40 --degree-cap 4 --seed 1"
   "build --algebra gl:3,3 --seed 1"
   "jstruct-check --algebra gl:2,2 --seed 1"
+  "complexify --algebra gl:2,2 --ideal 0 --seed 1"
 )
 
 digests() {

@@ -1,8 +1,12 @@
 """Command-line front end: builds algebras, runs the verification suites,
 emits machine-readable JSON reports.
 
-Reports contain no floating point: every scalar appears as integer
-numerator/denominator quads [re_num, re_den, im_num, im_den].  All sampling
+Reports contain no floating point: every scalar is a pair of integer
+fractions, its real and imaginary parts.  Most scalars (torus points,
+gamma values, form entries, fitted coefficients) appear as quads
+[re_num, re_den, im_num, im_den]; PBW coefficients appear as
+[[re_num, re_den], [im_num, im_den]], and a bracket entry as
+[[re_num, re_den], [im_num, im_den], index].  All sampling
 is driven by random.Random(seed) (Mersenne Twister), so a fixed seed
 reproduces a report byte for byte apart from the timing_ms field.  Exit
 status is 0 exactly when every check passed, 1 when some check failed,
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,6 +25,7 @@ from .errors import (
     CheckFailed,
     DegenerateForm,
     NotAnIdeal,
+    NotEigenfunction,
     ParseError,
     SingularPoint,
     SuperalgError,
@@ -56,28 +60,17 @@ from .sampling import rand_torus_coords, rng
 from .smash import SmashAlgebra, TorusElement, check_hopf_axioms
 from .scalars import ONE
 
-DEGREE_CAP_ENV = "SUPERALG_DEGREE_CAP"
-
-COMMANDS = (
-    "build",
-    "check-jacobi",
-    "casimir",
-    "hopf-check",
-    "jstruct-check",
-    "gamma-check",
-    "radial",
-    "complexify",
-)
-
 
 @dataclass
 class RunConfig:
+    """One suite run; the fields' defaults are the CLI's defaults."""
+
     command: str
     algebra: str | None = None
     file: str | None = None
     samples: int = 100
     seed: int = 0
-    degree_cap: int | None = None
+    degree_cap: int = 2
     points: int = 20
     weights: int = 12
     order: int = 2
@@ -85,15 +78,6 @@ class RunConfig:
     check_central: bool = False
     ideal: list = field(default_factory=list)
     output: str | None = None
-
-    def effective_degree_cap(self) -> int:
-        if self.degree_cap is not None:
-            return self.degree_cap
-        raw = os.environ.get(DEGREE_CAP_ENV, "2")
-        try:
-            return _at_least(0)(raw)
-        except argparse.ArgumentTypeError as exc:
-            raise ParseError(f"{DEGREE_CAP_ENV}: {exc}") from exc
 
 
 def _load_algebra(config: RunConfig, need_roots=False, need_form=False, need_lie=False):
@@ -249,9 +233,7 @@ def _cmd_casimir(config: RunConfig):
 def _cmd_hopf(config: RunConfig):
     g, _, rs, _ = _load_algebra(config, need_roots=True, need_lie=True)
     alg = SmashAlgebra(g, rs)
-    rep = check_hopf_axioms(
-        alg, config.samples, config.seed, config.effective_degree_cap()
-    )
+    rep = check_hopf_axioms(alg, config.samples, config.seed, config.degree_cap)
     results = [
         {
             "check": name,
@@ -307,26 +289,31 @@ def _cmd_radial(config: RunConfig):
         raise ParseError(f"--weights must be at least {need} for torus rank {rs.rank}")
     points = _sample_points(rs, config.points, config.seed)
     gamma_rep = check_gamma_oracle(rs, form, points)
-    op = build_radial(rs, form)
-    weights = default_weights(rs.rank, config.weights)
-    poly, fit_rep = extract_P(op, weights)
-    ltm = leading_term_match(poly, g, form, rs)
-    results = [
-        _gamma_row(gamma_rep),
-        {"check": "eigenfunction", "pass": True, "witness": None},
-        {"check": "P-fit", "pass": fit_rep["pass"], "witness": None if fit_rep["pass"] else fit_rep},
-        {"check": "leading-term", "pass": ltm["pass"], "witness": None if ltm["pass"] else ltm},
-    ]
+    results = [_gamma_row(gamma_rep)]
     values = {
         "gamma_check": {
             "points": gamma_rep["points"],
             "sign": gamma_rep["sign"],
             "pass": gamma_rep["pass"],
         },
-        "eigenvalue_c": op.eigenvalue_c.to_json(),
-        "P_fit": fit_rep,
-        "leading_term_match": ltm["pass"],
     }
+    try:
+        op = build_radial(rs, form)
+    except NotEigenfunction as exc:
+        # no eigenvalue c: the P-fit and leading-term rows need it
+        results.append({"check": "eigenfunction", "pass": False, "witness": str(exc)})
+        return results, values
+    weights = default_weights(rs.rank, config.weights)
+    poly, fit_rep = extract_P(op, weights)
+    ltm = leading_term_match(poly, g, form, rs)
+    results += [
+        {"check": "eigenfunction", "pass": True, "witness": None},
+        {"check": "P-fit", "pass": fit_rep["pass"], "witness": None if fit_rep["pass"] else fit_rep},
+        {"check": "leading-term", "pass": ltm["pass"], "witness": None if ltm["pass"] else ltm},
+    ]
+    values["eigenvalue_c"] = op.eigenvalue_c.to_json()
+    values["P_fit"] = fit_rep
+    values["leading_term_match"] = ltm["pass"]
     return results, values
 
 
@@ -371,6 +358,8 @@ _DISPATCH = {
     "complexify": _cmd_complexify,
 }
 
+COMMANDS = tuple(_DISPATCH)
+
 
 def run(config: RunConfig):
     """Execute a suite; returns (exit_status, report dict)."""
@@ -387,7 +376,7 @@ def run(config: RunConfig):
             "points": config.points,
             "weights": config.weights,
             "order": config.order,
-            "degree_cap": config.effective_degree_cap(),
+            "degree_cap": config.degree_cap,
         },
         "results": results,
         "pass": all_pass,
@@ -433,21 +422,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        # an option not given is left out of the namespace, so RunConfig's
+        # field defaults apply
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--algebra", help="builder spec, e.g. gl:2,1")
         p.add_argument("--file", help="algebra definition JSON file")
-        p.add_argument("--samples", type=_at_least(1), default=100)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--degree-cap", type=_at_least(0), default=None, dest="degree_cap")
-        p.add_argument("--points", type=_at_least(1), default=20)
-        p.add_argument("--weights", type=_at_least(1), default=12)
-        p.add_argument("--order", type=_at_least(1), default=2)
-        p.add_argument("--kind", choices=["casimir2", "gelfand"], default=None)
+        p.add_argument("--samples", type=_at_least(1))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--degree-cap", type=_at_least(0), dest="degree_cap")
+        p.add_argument("--points", type=_at_least(1))
+        p.add_argument("--weights", type=_at_least(1))
+        p.add_argument("--order", type=_at_least(1))
+        p.add_argument("--kind", choices=["casimir2", "gelfand"])
         p.add_argument("--check-central", action="store_true", dest="check_central")
         p.add_argument(
             "--ideal",
             type=_index_list,
-            default=[],
             help="comma-separated generator indices spanning the ideal",
         )
         p.add_argument("--output", help="report file (default: stdout)")
@@ -456,22 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        algebra=args.algebra,
-        file=args.file,
-        samples=args.samples,
-        seed=args.seed,
-        degree_cap=args.degree_cap,
-        points=args.points,
-        weights=args.weights,
-        order=args.order,
-        kind=args.kind,
-        check_central=args.check_central,
-        ideal=args.ideal,
-        output=args.output,
-    )
+    config = RunConfig(**vars(parser.parse_args(argv)))
     try:
         status, report = run(config)
     except (ParseError, UnsupportedAlgebra) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .errors import NotAlmostComplex, NotAnIdeal
 from .liealg import LieSuperalgebra, check_jacobi
 from .linalg import add_scaled, add_term, rref
-from .scalars import GaussianRational, I, ONE, ZERO, gr
+from .scalars import I, ONE, ZERO, gr
 
 
 class JStructure:
@@ -52,13 +52,6 @@ class JStructure:
             if v != {i: gr(-1)}:
                 return False
         return True
-
-    def to_json(self):
-        return [[c.to_json() for c in row] for row in self.matrix]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([[GaussianRational.from_json(c) for c in row] for row in data])
 
 
 def validate_J(g: LieSuperalgebra, j: JStructure) -> dict:
@@ -133,7 +126,7 @@ def eigen_split(g: LieSuperalgebra, j: JStructure):
             vec = {k: ONE}
             add_scaled(vec, j.columns[k], I * gr(-sign))
             rows.append([vec.get(c, ZERO) for c in range(n)])
-        red, pivots = rref(rows, ZERO)
+        red, pivots = rref(rows)
         basis = []
         for r in range(len(pivots)):
             basis.append({c: red[r][c] for c in range(n) if not red[r][c].is_zero()})
@@ -221,7 +214,7 @@ def complexify(g: LieSuperalgebra, p=()) -> ComplexifiedPair:
         return ComplexifiedPair(g, [], list(range(n)), check_jacobi(g))
 
     rows = [[v.get(c, ZERO) for c in range(n)] for v in vectors]
-    red, pivots = rref(rows, ZERO)
+    red, pivots = rref(rows)
     basis = [
         {c: red[r][c] for c in range(n) if not red[r][c].is_zero()}
         for r in range(len(pivots))

@@ -188,7 +188,7 @@ class QuadraticForm:
                             "check": "invariant",
                             "witness": [g.names[i], g.names[j], g.names[k]],
                         }
-        if inv([list(r) for r in self.gram], ZERO, ONE) is None:
+        if inv([list(r) for r in self.gram]) is None:
             return {"pass": False, "check": "non-degenerate", "witness": None}
         return {"pass": True, "witness": None}
 
@@ -451,7 +451,7 @@ def theta_dual(form: QuadraticForm) -> list:
 
     M is the inverse transpose of the Gram matrix; DegenerateForm if singular.
     """
-    gi = inv([list(r) for r in form.gram], ZERO, ONE)
+    gi = inv([list(r) for r in form.gram])
     if gi is None:
         raise DegenerateForm("gram matrix is singular")
     n = form.dim

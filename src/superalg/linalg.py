@@ -1,11 +1,17 @@
-"""Small exact linear algebra helpers over any field whose elements support
-+, -, *, / and an is_zero() predicate (Q(i) scalars or torus functions).
+"""Small exact linear algebra helpers over Q(i).
+
+The constants 0 and 1 are scalars.ZERO and scalars.ONE.  Entries may also
+be torus functions: their operators coerce a Q(i) scalar operand, so
+ZERO + f and ONE / f are torus functions again.  Every entry must support
++, -, *, / and an is_zero() predicate.
 
 Matrices are lists/tuples of rows.  Nothing here is optimized; dimensions
 in this package stay below a few dozen.
 """
 
 from __future__ import annotations
+
+from .scalars import ONE, ZERO
 
 
 def add_term(out: dict, key, c) -> None:
@@ -25,14 +31,14 @@ def add_scaled(out: dict, v: dict, s) -> None:
         add_term(out, key, c * s)
 
 
-def mat_mul(a, b, zero):
+def mat_mul(a, b):
     n, k = len(a), len(b)
     m = len(b[0]) if k else 0
     out = []
     for i in range(n):
         row = []
         for j in range(m):
-            acc = zero
+            acc = ZERO
             for s in range(k):
                 acc = acc + a[i][s] * b[s][j]
             row.append(acc)
@@ -40,11 +46,11 @@ def mat_mul(a, b, zero):
     return out
 
 
-def identity(n, zero, one):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def det(a, zero):
+def det(a):
     """Determinant by fraction-full Gaussian elimination (entries in a field)."""
     n = len(a)
     if n == 0:
@@ -55,7 +61,7 @@ def det(a, zero):
     for col in range(n):
         piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
         if piv is None:
-            return zero
+            return ZERO
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
@@ -70,10 +76,10 @@ def det(a, zero):
     return acc if sign > 0 else -acc
 
 
-def inv(a, zero, one):
+def inv(a):
     """Inverse via Gauss-Jordan; returns None when singular."""
     n = len(a)
-    m = [list(row) + list(identity(n, zero, one)[i]) for i, row in enumerate(a)]
+    m = [list(row) + unit for row, unit in zip(a, identity(n))]
     for col in range(n):
         piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
         if piv is None:
@@ -88,7 +94,7 @@ def inv(a, zero, one):
     return [row[n:] for row in m]
 
 
-def rref(a, zero):
+def rref(a):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     m = [list(row) for row in a]
     rows = len(m)
@@ -110,5 +116,5 @@ def rref(a, zero):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return m[:r] + [row for row in m[r:]], pivots
+    return m, pivots
 

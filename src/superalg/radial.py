@@ -325,7 +325,7 @@ def extract_P(op: RadialOperator, weights) -> tuple:
         raise ValueError("weight length must equal the Cartan rank")
     exps = _quadratic_exponents(t)
     rows = [[gr(prod(x**k for x, k in zip(lam, e))) for e in exps] for lam in lams]
-    _, pivots = rref(rows, ZERO)
+    _, pivots = rref(rows)
     if len(pivots) < len(exps):
         raise ValueError(
             f"weights span rank {len(pivots)} of the {len(exps)} needed to "

@@ -120,11 +120,10 @@ def rand_smash_element(smash_alg, r: random.Random, max_terms: int = 3, degree_c
 def rand_invertible_matrix(r: random.Random, n: int):
     """Random invertible n x n matrix over Q(i) by rejection."""
     from .linalg import det
-    from .scalars import ZERO
 
     while True:
         rows = [[rand_scalar(r) for _ in range(n)] for _ in range(n)]
-        if n == 0 or not det(rows, ZERO).is_zero():
+        if n == 0 or not det(rows).is_zero():
             return rows
 
 

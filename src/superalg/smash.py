@@ -137,10 +137,6 @@ class TorusElement:
     def to_json(self):
         return [c.to_json() for c in self.coords]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(GaussianRational.from_json(c) for c in data))
-
 
 _set_coords = TorusElement.coords.__set__
 _set_hash = TorusElement._hash.__set__
@@ -708,7 +704,7 @@ def _gram_in_frame(form: QuadraticForm, ids, frame):
     """F^T B F: the form on the frame columns, B restricted to ids."""
     block = [[form.b(i, j) for j in ids] for i in ids]
     transposed = [list(col) for col in zip(*frame)]
-    return mat_mul(mat_mul(transposed, block, ZERO), frame, ZERO)
+    return mat_mul(mat_mul(transposed, block), frame)
 
 
 def check_frame(rs: RootSystem, form: QuadraticForm) -> None:
@@ -717,7 +713,7 @@ def check_frame(rs: RootSystem, form: QuadraticForm) -> None:
     sum of [[0, 1], [-1, 0]] on the odd columns.  Raises DegenerateForm
     otherwise."""
     fe, fo = orthosymplectic_frame(rs, form)
-    if inv(fe, ZERO, ONE) is None or inv(fo, ZERO, ONE) is None:
+    if inv(fe) is None or inv(fo) is None:
         raise DegenerateForm("frame construction failed")
     even_ids, odd_ids = _root_orders(rs)
     for i, row in enumerate(_gram_in_frame(form, even_ids, fe)):

@@ -5,16 +5,18 @@ A SuperMatrix of shape (p|q) stores the four blocks
     [ A  B ]      A: p x p   B: p x q
     [ C  D ]      C: q x p   D: q x q
 
-over a declared commutative scalar ring (Q(i) scalars by default, torus
-functions allowed).  The Berezinian is det(A - B D^-1 C) * det(D)^-1 and
-requires the odd-odd block D to be invertible.
+over Q(i): the identity and diagonal constructors fill the blocks with
+scalars.ZERO and scalars.ONE.  Torus-function entries still work, since
+their operators coerce a Q(i) scalar operand.  The Berezinian is
+det(A - B D^-1 C) * det(D)^-1 and requires the odd-odd block D to be
+invertible.
 """
 
 from __future__ import annotations
 
 from .errors import SingularOddBlock
 from .linalg import det, identity, inv, mat_mul
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 def _freeze(rows):
@@ -26,9 +28,9 @@ def _is_zero_block(rows):
 
 
 class SuperMatrix:
-    __slots__ = ("p", "q", "a", "b", "c", "d", "zero", "one")
+    __slots__ = ("p", "q", "a", "b", "c", "d")
 
-    def __init__(self, p, q, a, b, c, d, zero=ZERO, one=ONE):
+    def __init__(self, p, q, a, b, c, d):
         if len(a) != p or any(len(r) != p for r in a):
             raise ValueError("block A has wrong shape")
         if len(b) != p or any(len(r) != q for r in b):
@@ -43,39 +45,36 @@ class SuperMatrix:
         object.__setattr__(self, "b", _freeze(b))
         object.__setattr__(self, "c", _freeze(c))
         object.__setattr__(self, "d", _freeze(d))
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperMatrix is immutable")
 
     def __reduce__(self):
-        return SuperMatrix, (self.p, self.q, self.a, self.b, self.c, self.d,
-                             self.zero, self.one)
+        return SuperMatrix, (self.p, self.q, self.a, self.b, self.c, self.d)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_full(cls, p, q, rows, zero=ZERO, one=ONE):
+    def from_full(cls, p, q, rows):
         a = [row[:p] for row in rows[:p]]
         b = [row[p:] for row in rows[:p]]
         c = [row[:p] for row in rows[p:]]
         d = [row[p:] for row in rows[p:]]
-        return cls(p, q, a, b, c, d, zero, one)
+        return cls(p, q, a, b, c, d)
 
     @classmethod
-    def identity(cls, p, q, zero=ZERO, one=ONE):
-        return cls.from_full(p, q, identity(p + q, zero, one), zero, one)
+    def identity(cls, p, q):
+        return cls.from_full(p, q, identity(p + q))
 
     @classmethod
-    def diagonal(cls, evens, odds, zero=ZERO, one=ONE):
+    def diagonal(cls, evens, odds):
         p, q = len(evens), len(odds)
-        rows = identity(p + q, zero, one)
+        rows = identity(p + q)
         for i, v in enumerate(evens):
             rows[i][i] = v
         for j, v in enumerate(odds):
             rows[p + j][p + j] = v
-        return cls.from_full(p, q, rows, zero, one)
+        return cls.from_full(p, q, rows)
 
     # -- views ------------------------------------------------------------
 
@@ -97,8 +96,7 @@ class SuperMatrix:
             return NotImplemented
         if (self.p, self.q) != (other.p, other.q):
             raise ValueError("shape mismatch")
-        prod = mat_mul(self.full(), other.full(), self.zero)
-        return SuperMatrix.from_full(self.p, self.q, prod, self.zero, self.one)
+        return SuperMatrix.from_full(self.p, self.q, mat_mul(self.full(), other.full()))
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -122,20 +120,19 @@ class SuperMatrix:
         supermatrix over a purely even ring such as Q(i) or the torus
         functions: with no odd scalars, its off-diagonal blocks are zero."""
         if self.q == 0:
-            return det(self.a, self.zero)
-        det_d = det(self.d, self.zero)
+            return det(self.a)
+        det_d = det(self.d)
         if det_d.is_zero():
             raise SingularOddBlock("odd-odd block is singular")
         if self.p == 0:
-            return self.one / det_d
+            return ONE / det_d
         if _is_zero_block(self.b) or _is_zero_block(self.c):
-            return det(self.a, self.zero) / det_d
-        dinv = inv(self.d, self.zero, self.one)
-        bc = mat_mul(mat_mul(self.b, dinv, self.zero), self.c, self.zero)
+            return det(self.a) / det_d
+        bc = mat_mul(mat_mul(self.b, inv(self.d)), self.c)
         schur = [
             [self.a[i][j] - bc[i][j] for j in range(self.p)] for i in range(self.p)
         ]
-        return det(schur, self.zero) / det_d
+        return det(schur) / det_d
 
     def __repr__(self):
         return f"SuperMatrix(p={self.p}, q={self.q})"

@@ -219,7 +219,7 @@ class LaurentPoly:
             total = total + val
         return total
 
-    # -- display and serialization ------------------------------------------
+    # -- display ------------------------------------------------------------
 
     def __repr__(self):
         if not self.terms:
@@ -232,16 +232,6 @@ class LaurentPoly:
             )
             bits.append(f"({c}){'*' + mono if mono else ''}")
         return " + ".join(bits)
-
-    def to_json(self) -> list:
-        return [[list(e), self.terms[e].to_json()] for e in sorted(self.terms)]
-
-    @classmethod
-    def from_json(cls, nvars: int, data) -> "LaurentPoly":
-        return cls(
-            nvars,
-            {tuple(e): GaussianRational.from_json(c) for e, c in data},
-        )
 
 
 def _poly_part(p: LaurentPoly) -> tuple:
@@ -465,22 +455,12 @@ class TorusRational:
             raise ZeroDivisionError("denominator vanishes at this point")
         return self.num.eval(point) / dv
 
-    # -- display and serialization -------------------------------------------
+    # -- display ------------------------------------------------------------
 
     def __repr__(self):
         if self.den.is_constant():
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, nvars: int, data) -> "TorusRational":
-        return cls(
-            LaurentPoly.from_json(nvars, data["num"]),
-            LaurentPoly.from_json(nvars, data["den"]),
-        )
 
 
 def _scale_normalize(num: LaurentPoly, den: LaurentPoly) -> tuple:

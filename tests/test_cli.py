@@ -22,6 +22,24 @@ def without_timing(report):
     return out
 
 
+def assert_degree_cap_env_ignored(value, capsys, monkeypatch):
+    """With SUPERALG_DEGREE_CAP set to value, hopf-check, build and
+    gamma-check exit 0 and print the report of a run without it: the
+    degree cap comes only from --degree-cap."""
+    for argv in (
+        ["hopf-check", "--algebra", "gl:1,1", "--samples", "5", "--seed", "3"],
+        ["build", "--algebra", "gl:1,1"],
+        ["gamma-check", "--algebra", "gl:1,1", "--points", "2"],
+    ):
+        monkeypatch.delenv("SUPERALG_DEGREE_CAP", raising=False)
+        status, plain = run_main(argv, capsys)
+        monkeypatch.setenv("SUPERALG_DEGREE_CAP", value)
+        status_env, rep = run_main(argv, capsys)
+        assert status == status_env == 0, argv
+        assert without_timing(rep) == without_timing(plain), argv
+        assert rep["inputs"]["degree_cap"] == 2
+
+
 def non_jacobi_gl11():
     """gl(1|1) with [E12, E21] = E11 - E22: graded, so it loads, but it
     breaks super Jacobi (and the form's invariance)."""
@@ -258,13 +276,8 @@ class TestReproducibility:
 
 
 class TestDegreeCap:
-    def test_env_var_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERALG_DEGREE_CAP", "1")
-        _, rep = run_main(
-            ["hopf-check", "--algebra", "gl:1,1", "--samples", "5", "--seed", "3"],
-            capsys,
-        )
-        assert rep["inputs"]["degree_cap"] == 1
+    def test_env_var_does_not_set_default(self, capsys, monkeypatch):
+        assert_degree_cap_env_ignored("1", capsys, monkeypatch)
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERALG_DEGREE_CAP", "1")
@@ -382,6 +395,30 @@ class TestCheckFailures:
         assert row["pass"] is False
         assert row["witness"]["reason"].startswith("weight [1, 0]:")
         assert rep["values"]["P_fit"] == row["witness"]
+
+    def test_not_eigenfunction_exits_1_with_eigenfunction_witness(self, capsys, monkeypatch):
+        # injected defect: the first Laplacian coefficient doubled, so
+        # L(j) = c j has no scalar solution c
+        from superalg.radial import TorusLaplacian
+
+        real = TorusLaplacian.from_cartan
+
+        def doubled(rs, form):
+            coeffs = real(rs, form).coeffs
+            return TorusLaplacian((coeffs[0] * 2,) + coeffs[1:])
+
+        monkeypatch.setattr(TorusLaplacian, "from_cartan", staticmethod(doubled))
+        status = main(["radial", "--algebra", "gl:1,1", "--points", "2", "--weights", "6"])
+        captured = capsys.readouterr()
+        assert status == 1 and "Traceback" not in captured.err
+        rep = json.loads(captured.out)
+        assert rep["pass"] is False
+        assert [r["check"] for r in rep["results"]] == ["gamma-oracle", "eigenfunction"]
+        gamma_row, row = rep["results"]
+        assert gamma_row["pass"] is True
+        assert row["pass"] is False
+        assert row["witness"] == "L(j) is not a scalar multiple of j"
+        assert set(rep["values"]) == {"gamma_check"}
 
     @pytest.mark.parametrize("command", ["gamma-check", "radial"])
     def test_wrong_sdet_exits_1_with_gamma_witness(self, command, capsys, monkeypatch):
@@ -574,11 +611,8 @@ class TestInputBoundary:
         assert "Traceback" not in captured.err
 
     def test_bad_degree_cap_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERALG_DEGREE_CAP", "-1")
-        status = main(["hopf-check", "--algebra", "gl:1,1", "--samples", "3"])
-        captured = capsys.readouterr()
-        assert status == 2 and captured.err.startswith("error:")
-        assert captured.out == ""
+        # the environment is not an input, so no value of it is malformed
+        assert_degree_cap_env_ignored("-1", capsys, monkeypatch)
 
     def test_casimir2_at_its_own_order_still_runs(self, capsys):
         status, rep = run_main(["casimir", "--kind", "casimir2", "--order", "2"], capsys)
