@@ -20,6 +20,7 @@ RUNGS=(
   "hopf-check --algebra gl:2,2 --samples 20 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:3,1 --samples 30 --degree-cap 5 --seed 1"
   "hopf-check --algebra gl:1,3 --samples 40 --degree-cap 4 --seed 1"
+  "hopf-check --algebra gl:2,1 --samples 150 --degree-cap 3 --seed 7"
   "build --algebra gl:3,3 --seed 1"
   "jstruct-check --algebra gl:2,2 --seed 1"
   "complexify --algebra gl:2,2 --ideal 0 --seed 1"

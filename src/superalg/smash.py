@@ -26,8 +26,10 @@ work is done once per point instead:
 
 - a TorusElement computes its hash and identity flag when it is built, and
   its inverse on first use, linked back so that a * a^-1 is the identity
-  without a coordinate product.  Points are immutable, so nothing cached
-  on one can go stale; a point pickles as its coordinates alone.
+  without a coordinate product.  That identity is TorusElement.identity(t),
+  one shared point per rank and its own inverse, so no point is built for
+  it either.  Points are immutable, so nothing cached on one can go stale;
+  a point pickles as its coordinates alone.
 - SmashAlgebra.ad_monomial reads a table {generator: Ad eigenvalue} per
   point, filled one generator at a time, while SmashAlgebra.ad_tables()
   is open.  check_hopf_axioms opens it around each sample, so the tables
@@ -39,8 +41,18 @@ Ad scalar for an identity point on the right or an empty monomial on the
 left, no torus product with the identity, and no PBW rewriting when either
 monomial is empty.
 
+The antipode axioms m (Id x s) Delta(u) and m (s x Id) Delta(u) need the
+same antipodes: Delta(a # m) splits m into complementary sub-monomials at
+the one point a, so the left legs and the right legs of Delta(u) form one
+set.  _antipode_convolutions takes s once per distinct leg and computes
+both sides from it.
+
 Sums of elements (the coproduct, the antipode convolutions) accumulate
-into one dict with linalg.add_term and wrap it in an element once.
+into one dict with linalg.add_term and wrap it in an element once.  The
+layer's own results are wrapped unchecked, by _element and _tensor:
+add_term drops every zero sum and normalize_terms returns no zero
+coefficient, so the dicts they build hold nothing that the checks of the
+public SmashElement and TensorElement constructors would remove.
 """
 
 from __future__ import annotations
@@ -78,7 +90,8 @@ class TorusElement:
     - the identity flag, at construction;
     - the inverse, on the first `inverse()` call.  The two points are linked
       both ways, so `a.inverse().inverse() is a`, and `a * a.inverse()` is
-      the identity without a coordinate product.
+      `TorusElement.identity(t)`, one shared point per rank whose inverse is
+      itself, without a coordinate product.
 
     The cached fields are not pickled: a point pickles as its coordinates.
     """
@@ -103,13 +116,18 @@ class TorusElement:
 
     @classmethod
     def identity(cls, t: int) -> "TorusElement":
-        return cls((ONE,) * t)
+        """The identity of rank t: one shared point, its own inverse."""
+        e = _IDENTITIES.get(t)
+        if e is None:
+            e = _IDENTITIES[t] = _torus((ONE,) * t)
+            _set_inv(e, e)
+        return e
 
     def __mul__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
         if other is self._inv:
-            return _torus((ONE,) * len(self.coords))
+            return TorusElement.identity(len(self.coords))
         return _torus(tuple(a * b for a, b in zip(self.coords, other.coords)))
 
     def inverse(self) -> "TorusElement":
@@ -158,6 +176,9 @@ def _torus(coords: tuple) -> TorusElement:
     a = object.__new__(TorusElement)
     _init(a, coords)
     return a
+
+
+_IDENTITIES: dict = {}  # {rank: the identity point}, see TorusElement.identity
 
 
 class SmashAlgebra:
@@ -290,6 +311,20 @@ class SmashElement:
         return " + ".join(bits)
 
 
+_set_element_alg = SmashElement.alg.__set__
+_set_element_terms = SmashElement.terms.__set__
+
+
+def _element(alg: SmashAlgebra, terms: dict) -> SmashElement:
+    """SmashElement wrapping terms as they are, unchecked: for a dict built
+    through add_term or read off normalize_terms, so no coefficient is zero
+    and every monomial is a tuple already."""
+    x = object.__new__(SmashElement)
+    _set_element_alg(x, alg)
+    _set_element_terms(x, terms)
+    return x
+
+
 def _term_product(alg: SmashAlgebra, t1, t2) -> dict:
     """Product of two single terms; returns {(torus, monomial): coeff}.
 
@@ -318,7 +353,7 @@ def smash_multiply(u: SmashElement, v: SmashElement) -> SmashElement:
         for k2, c2 in v.terms.items():
             for key, c in _term_product(u.alg, k1, k2).items():
                 add_term(out, key, c1 * c2 * c)
-    return SmashElement(u.alg, out)
+    return _element(u.alg, out)
 
 
 def term_parity(alg: SmashAlgebra, key) -> int:
@@ -387,30 +422,44 @@ class TensorElement:
                     combos = new_combos
                 for key, coeff in combos:
                     add_term(out, key, coeff)
-        return TensorElement(alg, self.legs, out)
+        return _tensor(alg, self.legs, out)
+
+
+_set_tensor_alg = TensorElement.alg.__set__
+_set_tensor_legs = TensorElement.legs.__set__
+_set_tensor_terms = TensorElement.terms.__set__
+
+
+def _tensor(alg: SmashAlgebra, legs: int, terms: dict) -> TensorElement:
+    """TensorElement wrapping terms as they are, unchecked: for a dict built
+    through add_term with keys of `legs` legs, so no coefficient is zero."""
+    x = object.__new__(TensorElement)
+    _set_tensor_alg(x, alg)
+    _set_tensor_legs(x, legs)
+    _set_tensor_terms(x, terms)
+    return x
 
 
 def coproduct(u: SmashElement) -> TensorElement:
     """Algebra-map coproduct: torus points are group-like, generators
-    primitive, extended multiplicatively with Koszul signs."""
+    primitive, extended multiplicatively with Koszul signs.  Each
+    generator's primitive tensor is built once per call."""
     alg = u.alg
     e = TorusElement.identity(alg.t)
+    one = (e, ())
+    prims: dict = {}
     total: dict = {}
     for (a, mon), c in u.terms.items():
-        acc = TensorElement(alg, 2, {((a, ()), (a, ())): ONE})
+        acc = _tensor(alg, 2, {((a, ()), (a, ())): ONE})
         for gen in word_of(mon):
-            prim = TensorElement(
-                alg,
-                2,
-                {
-                    ((e, ((gen, 1),)), (e, ())): ONE,
-                    ((e, ()), (e, ((gen, 1),))): ONE,
-                },
-            )
+            prim = prims.get(gen)
+            if prim is None:
+                x = (e, ((gen, 1),))
+                prim = prims[gen] = _tensor(alg, 2, {(x, one): ONE, (one, x): ONE})
             acc = acc * prim
         for key, v in acc.terms.items():
             add_term(total, key, v * c)
-    return TensorElement(alg, 2, total)
+    return _tensor(alg, 2, total)
 
 
 def _shuffle_split(mon: Monomial, parities) -> list:
@@ -457,7 +506,7 @@ def coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
         head, tail = key[:leg], key[leg + 1 :]
         for left, right, k in _shuffle_split(mon, parities):
             add_term(out, head + ((a, left), (a, right)) + tail, c if k == 1 else c * k)
-    return TensorElement(alg, t.legs + 1, out)
+    return _tensor(alg, t.legs + 1, out)
 
 
 def counit(u: SmashElement) -> GaussianRational:
@@ -494,7 +543,7 @@ def antipode(u: SmashElement) -> SmashElement:
         a_inv = a.inverse()
         for mon, c in normalize_terms(alg.g, items).items():
             out[(a_inv, mon)] = c
-    return SmashElement(alg, out)
+    return _element(alg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +551,31 @@ def antipode(u: SmashElement) -> SmashElement:
 # ---------------------------------------------------------------------------
 
 
-def _antipode_convolution(delta: TensorElement, side: str) -> SmashElement:
-    """m (Id x s) Delta(u) or m (s x Id) Delta(u), from delta = Delta(u); both
-    must equal the counit of u times the unit."""
+def _antipode_convolutions(delta: TensorElement) -> tuple:
+    """(m (Id x s) Delta(u), m (s x Id) Delta(u)) from delta = Delta(u); both
+    must equal the counit of u times the unit.
+
+    Delta(a # m) is a sum of (a # l) x (a # r) over the splits of m into
+    complementary sub-monomials l, r, and the complement of a sub-monomial
+    is one, so the left legs and the right legs of Delta(u) are the same
+    set.  The two sides therefore need the same antipodes: s(leg) is taken
+    once per distinct leg, a torus point and a monomial, and both sides
+    read it.  Each term still costs one smash_multiply per side."""
     alg = delta.alg
-    out: dict = {}
-    for key, c in delta.terms.items():
-        left = SmashElement(alg, {key[0]: ONE})
-        right = SmashElement(alg, {key[1]: ONE})
-        if side == "right":
-            prod = smash_multiply(left, antipode(right))
-        else:
-            prod = smash_multiply(antipode(left), right)
-        for k, v in prod.terms.items():
-            add_term(out, k, v * c)
-    return SmashElement(alg, out)
+    s: dict = {}  # {leg: s(e_leg)}, e_leg the one-term element of the leg
+    right: dict = {}
+    left: dict = {}
+    for (k0, k1), c in delta.terms.items():
+        for k in (k0, k1):
+            if k not in s:
+                s[k] = antipode(_element(alg, {k: ONE}))
+        for out, x, y in (
+            (right, _element(alg, {k0: ONE}), s[k1]),
+            (left, s[k0], _element(alg, {k1: ONE})),
+        ):
+            for key, v in smash_multiply(x, y).terms.items():
+                add_term(out, key, v * c)
+    return _element(alg, right), _element(alg, left)
 
 
 def _counit_contract(t: TensorElement, leg: int) -> SmashElement:
@@ -537,7 +596,7 @@ def _twist(t: TensorElement) -> TensorElement:
     for (k1, k2), c in t.terms.items():
         sign = _MINUS_ONE if term_parity(alg, k1) and term_parity(alg, k2) else ONE
         add_term(out, (k2, k1), c * sign)
-    return TensorElement(alg, 2, out)
+    return _tensor(alg, 2, out)
 
 
 def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: int = 2) -> dict:
@@ -560,9 +619,10 @@ def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: in
         unit_scaled = alg.unit().scale(counit(u))
         with alg.ad_tables():
             delta = coproduct(u)
+            right, left = _antipode_convolutions(delta)
             passed = {
-                "antipode_right": _antipode_convolution(delta, "right") == unit_scaled,
-                "antipode_left": _antipode_convolution(delta, "left") == unit_scaled,
+                "antipode_right": right == unit_scaled,
+                "antipode_left": left == unit_scaled,
                 "counit_left": _counit_contract(delta, 0) == u,
                 "counit_right": _counit_contract(delta, 1) == u,
                 "coassociativity": coproduct_leg(delta, 0) == coproduct_leg(delta, 1),

@@ -21,6 +21,7 @@ from superalg.smash import (
     SmashElement,
     TensorElement,
     TorusElement,
+    _antipode_convolutions,
     _shuffle_split,
     _term_product,
     antipode,
@@ -116,6 +117,23 @@ class TestTorusElement:
         # a point equal to the inverse but built apart multiplies out
         b = TorusElement(a.inverse().coords)
         assert (a * b).is_identity() and a * b == e
+
+    def test_identity_is_one_shared_point_per_rank(self):
+        ids = {}
+        for t in (1, 2, 3, 4):
+            e = TorusElement.identity(t)
+            assert TorusElement.identity(t) is e
+            assert e.inverse() is e and e * e is e
+            assert e.is_identity() and e.coords == (ONE,) * t
+            a = TorusElement(tuple(gr(Fraction(k + 2, 3), k - 1) for k in range(t)))
+            assert a * a.inverse() is e
+            assert a.inverse() * a is e
+            ids[t] = e
+        # no two ranks share an identity, and each product lands on its own rank
+        assert len({id(e) for e in ids.values()}) == len(ids)
+        b = TorusElement((gr(2), gr(5), gr(7)))
+        assert len((b * b.inverse()).coords) == 3
+        assert b * b.inverse() is ids[3] and b * b.inverse() is not ids[2]
 
     def test_immutable(self):
         a = TorusElement((gr(2), gr(3)))
@@ -338,15 +356,14 @@ class TestAntipode:
     def test_axiom_on_group_like_and_primitive(self, alg11):
         # m (Id x s) Delta collapses to the counit times the unit already
         # on the two generating shapes
-        from superalg.smash import _antipode_convolution
-
         a = TorusElement((gr(3), gr(Fraction(1, 2))))
-        u = alg11.group_like(a)
-        assert _antipode_convolution(coproduct(u), "right") == alg11.unit()
-        assert _antipode_convolution(coproduct(u), "left") == alg11.unit()
+        right, left = _antipode_convolutions(coproduct(alg11.group_like(a)))
+        assert right == alg11.unit()
+        assert left == alg11.unit()
         x = alg11.primitive(alg11.g.names.index("E12"))
-        assert _antipode_convolution(coproduct(x), "right").is_zero()
-        assert _antipode_convolution(coproduct(x), "left").is_zero()
+        right, left = _antipode_convolutions(coproduct(x))
+        assert right.is_zero()
+        assert left.is_zero()
 
     def test_hopf_axioms_random(self, alg11):
         rep = check_hopf_axioms(alg11, samples=100, seed=99)
@@ -357,6 +374,86 @@ class TestAntipode:
     def test_hopf_axioms_gl21(self, alg21):
         rep = check_hopf_axioms(alg21, samples=25, seed=5)
         assert rep["pass"], rep["failures"]
+
+
+def per_term_convolution(delta, side):
+    """m (Id x s) Delta(u) (side "right") or m (s x Id) Delta(u) (side
+    "left"), one antipode and one product per term of delta: the reference
+    for smash._antipode_convolutions."""
+    alg = delta.alg
+    out: dict = {}
+    for key, c in delta.terms.items():
+        left = SmashElement(alg, {key[0]: ONE})
+        right = SmashElement(alg, {key[1]: ONE})
+        if side == "right":
+            prod = smash_multiply(left, antipode(right))
+        else:
+            prod = smash_multiply(antipode(left), right)
+        for k, v in prod.terms.items():
+            add_term(out, k, v * c)
+    return SmashElement(alg, out)
+
+
+def _hopf_samples(alg, r, count, degree_cap):
+    """Seeded elements as check_hopf_axioms draws them, each followed by
+    its terms moved to the point of its first term, so that they share one
+    point."""
+    for _ in range(count):
+        u = rand_smash_element(alg, r, max_terms=3, degree_cap=degree_cap)
+        yield u
+        for a, _ in list(u.terms)[:1]:
+            yield SmashElement(alg, {(a, mon): c for (_, mon), c in u.terms.items()})
+
+
+class TestAntipodeConvolutions:
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_match_the_per_term_reference(self, m, n, cap, monkeypatch):
+        g, _, rs = build_gl(m, n)
+        alg = SmashAlgebra(g, rs)
+        r = rng(300 + 10 * m + n + 100 * cap)
+        calls = []
+        real = smash_mod.antipode
+        monkeypatch.setattr(smash_mod, "antipode", lambda u: calls.append(u) or real(u))
+        terms = antipodes = 0
+        for u in _hopf_samples(alg, r, 12, cap):
+            delta = coproduct(u)
+            want = (per_term_convolution(delta, "right"), per_term_convolution(delta, "left"))
+            calls.clear()
+            assert _antipode_convolutions(delta) == want, u
+            legs = {leg for key in delta.terms for leg in key}
+            assert len(calls) == len(legs)
+            assert {next(iter(x.terms)) for x in calls} == legs
+            terms += len(delta.terms)
+            antipodes += len(calls)
+        # the two sides share their legs: far fewer antipodes than one per
+        # term and side
+        assert antipodes < 2 * terms
+
+
+class TestUncheckedConstructors:
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_results_survive_the_checked_constructors(self, m, n):
+        # the layer wraps its own results unchecked; none may hold a zero
+        # coefficient, a non-tuple monomial or a key with the wrong leg count
+        g, _, rs = build_gl(m, n)
+        alg = SmashAlgebra(g, rs)
+        r = rng(500 + 10 * m + n)
+        for u in _hopf_samples(alg, r, 10, 3):
+            v = rand_smash_element(alg, r, max_terms=3, degree_cap=2)
+            delta = coproduct(u)
+            smash_results = [antipode(u), smash_multiply(u, v), *_antipode_convolutions(delta)]
+            tensor_results = [
+                delta,
+                coproduct_leg(delta, 0),
+                coproduct_leg(delta, 1),
+                smash_mod._twist(delta),
+                delta * coproduct(v),
+            ]
+            for x in smash_results:
+                assert SmashElement(x.alg, x.terms).terms == x.terms
+            for t in tensor_results:
+                assert TensorElement(t.alg, t.legs, t.terms).terms == t.terms
 
 
 def _double_nontrivial_leg1(real):
@@ -769,6 +866,12 @@ class TestPickle:
         a = TorusElement((gr(2), gr(Fraction(1, 3), -1)))
         back = pickle.loads(pickle.dumps(a))
         assert back == a and hash(back) == hash(a)
+
+    def test_identity(self):
+        e = TorusElement.identity(3)
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and hash(back) == hash(e)
+        assert back.is_identity() and back.inverse() == e
 
     def test_torus_element_pickles_without_its_inverse(self):
         a = TorusElement((gr(2), gr(Fraction(1, 3), -1)))
