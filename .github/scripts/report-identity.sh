@@ -14,6 +14,7 @@ RUNGS=(
   "radial --algebra gl:2,2 --points 5 --weights 15 --seed 1"
   "gamma-check --algebra gl:3,2 --points 20 --seed 1"
   "gamma-check --algebra gl:3,3 --points 20 --seed 1"
+  "gamma-check --algebra gl:1,3 --points 20 --seed 2"
   "casimir --algebra gl:3,3 --kind casimir2 --check-central --seed 1"
   "casimir --algebra gl:3,3 --kind gelfand --order 4 --check-central --seed 1"
   "casimir --algebra gl:3,3 --kind gelfand --order 5 --check-central --seed 1"

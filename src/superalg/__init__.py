@@ -29,7 +29,7 @@ from .torus import (
     sqrt_scalar_free,
     torus_derive,
 )
-from .supermatrix import SuperMatrix, berezinian
+from .supermatrix import SuperMatrix
 from .liealg import (
     LieSuperalgebra,
     QuadraticForm,

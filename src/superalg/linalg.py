@@ -51,10 +51,11 @@ def identity(n):
 
 
 def det(a):
-    """Determinant by fraction-full Gaussian elimination (entries in a field)."""
+    """Determinant by fraction-full Gaussian elimination (entries in a field);
+    ONE, the empty product, for the 0 x 0 matrix."""
     n = len(a)
     if n == 0:
-        raise ValueError("empty matrix has no determinant here")
+        return ONE
     m = [list(row) for row in a]
     sign = 1
     acc = None

@@ -81,7 +81,10 @@ def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
 
     Points on the singular locus are skipped with a notice, and the two
     sides must agree on singularity (odd block singular exactly when the
-    closed form's denominator vanishes)."""
+    closed form's denominator vanishes).  Raises ValueError when points is
+    empty: a check of nothing does not pass."""
+    if not points:
+        raise ValueError("no points to check")
     check_frame(rs, form)
     gamma = gamma_closed_form(rs)
     entries = []

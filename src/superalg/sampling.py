@@ -115,37 +115,3 @@ def rand_smash_element(smash_alg, r: random.Random, max_terms: int = 3, degree_c
         if not c.is_zero():
             terms[(point, mon)] = c
     return SmashElement(smash_alg, terms)
-
-
-def rand_invertible_matrix(r: random.Random, n: int):
-    """Random invertible n x n matrix over Q(i) by rejection."""
-    from .linalg import det
-
-    while True:
-        rows = [[rand_scalar(r) for _ in range(n)] for _ in range(n)]
-        if n == 0 or not det(rows).is_zero():
-            return rows
-
-
-def rand_graded_supermatrix(r: random.Random, p: int, q: int, shape: str = "diagonal"):
-    """Random invertible supermatrix honoring the grading over a purely even
-    scalar field: block-diagonal, or block-triangular of a fixed type.
-
-    Over Q(i) the off-diagonal blocks of an even supermatrix must vanish
-    (there are no odd scalars), and the Berezinian is multiplicative on
-    the block-diagonal and one-sided block-triangular families.
-    """
-    from .scalars import ZERO
-    from .supermatrix import SuperMatrix
-
-    a = rand_invertible_matrix(r, p)
-    d = rand_invertible_matrix(r, q)
-    b = [[ZERO] * q for _ in range(p)]
-    c = [[ZERO] * p for _ in range(q)]
-    if shape == "upper":
-        b = [[rand_scalar(r) for _ in range(q)] for _ in range(p)]
-    elif shape == "lower":
-        c = [[rand_scalar(r) for _ in range(p)] for _ in range(q)]
-    elif shape != "diagonal":
-        raise ValueError("shape must be diagonal, upper, or lower")
-    return SuperMatrix(p, q, a, b, c, d)

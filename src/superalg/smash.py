@@ -394,35 +394,23 @@ class TensorElement:
         return self.legs == other.legs and self.terms == other.terms
 
     def __mul__(self, other):
-        """Graded tensor-power product: Koszul sign over crossing legs."""
-        if not isinstance(other, TensorElement) or other.legs != self.legs:
+        """Graded product of two-leg tensors, (x1 x x2)(y1 x y2) =
+        (-1)^{|x2||y1|} x1 y1 x x2 y2; other leg counts are NotImplemented."""
+        if not isinstance(other, TensorElement) or self.legs != 2 or other.legs != 2:
             return NotImplemented
         alg = self.alg
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            p1 = [term_parity(alg, leg) for leg in k1]
-            for k2, c2 in other.terms.items():
-                p2 = [term_parity(alg, leg) for leg in k2]
-                # sign: each leg i of k1 crosses legs j < i of k2
-                s = 0
-                for i in range(self.legs):
-                    for j in range(i):
-                        s += p1[i] * p2[j]
-                sign = _MINUS_ONE if s % 2 else ONE
-                # multiply legwise; each legwise product may have many terms
-                legs_products = [
-                    _term_product(alg, k1[i], k2[i]) for i in range(self.legs)
-                ]
-                combos = [((), c1 * c2 * sign)]
-                for lp in legs_products:
-                    new_combos = []
-                    for key_prefix, coeff in combos:
-                        for leg_key, leg_c in lp.items():
-                            new_combos.append((key_prefix + (leg_key,), coeff * leg_c))
-                    combos = new_combos
-                for key, coeff in combos:
-                    add_term(out, key, coeff)
-        return _tensor(alg, self.legs, out)
+        for (x1, x2), c1 in self.terms.items():
+            odd_x2 = term_parity(alg, x2)
+            for (y1, y2), c2 in other.terms.items():
+                sign = _MINUS_ONE if odd_x2 and term_parity(alg, y1) else ONE
+                c = c1 * c2 * sign
+                lefts = _term_product(alg, x1, y1)
+                rights = _term_product(alg, x2, y2)
+                for k1, l1 in lefts.items():
+                    for k2, l2 in rights.items():
+                        add_term(out, (k1, k2), c * l1 * l2)
+        return _tensor(alg, 2, out)
 
 
 _set_tensor_alg = TensorElement.alg.__set__
@@ -601,9 +589,12 @@ def _twist(t: TensorElement) -> TensorElement:
 
 def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: int = 2) -> dict:
     """Evaluate antipode identities, counit laws, coassociativity and super
-    co-commutativity on seeded random elements; exact pass/fail."""
+    co-commutativity on seeded random elements; exact pass/fail.  Raises
+    ValueError when samples < 1: a check of nothing does not pass."""
     from .sampling import rand_smash_element, rng
 
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     r = rng(seed)
     checks = {
         "antipode_right": 0,

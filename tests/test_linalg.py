@@ -1,7 +1,7 @@
 from fractions import Fraction
 
-from superalg.linalg import add_term
-from superalg.scalars import gr, ZERO
+from superalg.linalg import add_term, det
+from superalg.scalars import gr, ONE, ZERO
 from superalg.torus import TorusRational, sinh_half
 
 
@@ -34,3 +34,8 @@ def test_add_term_torus_coefficients():
     assert out == {}
     add_term(out, (1, 0), TorusRational.zero(2))
     assert out == {}
+
+
+def test_det_of_the_empty_matrix_is_the_empty_product():
+    assert det([]) == ONE
+    assert det(()) == ONE

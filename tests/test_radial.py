@@ -121,6 +121,12 @@ class TestGammaOracle:
         assert rep["pass"]
         assert rep["sign"] in (1, -1)
 
+    def test_no_points_is_refused(self, gl11):
+        _, form, rs = gl11
+        for pts in ([], ()):
+            with pytest.raises(ValueError):
+                check_gamma_oracle(rs, form, pts)
+
     def test_gl21_points(self, gl21):
         _, form, rs = gl21
         pts = sample_regular_points(rs, 20, seed=101)
