@@ -15,16 +15,17 @@ RUNGS=(
   "gamma-check --algebra gl:3,2 --points 20 --seed 1"
   "gamma-check --algebra gl:3,3 --points 20 --seed 1"
   "gamma-check --algebra gl:1,3 --points 20 --seed 2"
-  "casimir --algebra gl:3,3 --kind casimir2 --check-central --seed 1"
-  "casimir --algebra gl:3,3 --kind gelfand --order 4 --check-central --seed 1"
-  "casimir --algebra gl:3,3 --kind gelfand --order 5 --check-central --seed 1"
+  "casimir --algebra gl:3,3 --kind casimir2 --check-central"
+  "casimir --algebra gl:3,3 --kind gelfand --order 4 --check-central"
+  "casimir --algebra gl:3,3 --kind gelfand --order 5 --check-central"
   "hopf-check --algebra gl:2,2 --samples 20 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:3,1 --samples 30 --degree-cap 5 --seed 1"
   "hopf-check --algebra gl:1,3 --samples 40 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:2,1 --samples 150 --degree-cap 3 --seed 7"
-  "build --algebra gl:3,3 --seed 1"
-  "jstruct-check --algebra gl:2,2 --seed 1"
-  "complexify --algebra gl:2,2 --ideal 0 --seed 1"
+  "build --algebra gl:3,3"
+  "check-jacobi --algebra gl:3,3"
+  "jstruct-check --algebra gl:2,2"
+  "complexify --algebra gl:2,2 --ideal 0"
 )
 
 digests() {

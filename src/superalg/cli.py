@@ -347,24 +347,25 @@ def _strip(report: dict) -> dict:
     return out
 
 
-_DISPATCH = {
-    "build": _cmd_build,
-    "check-jacobi": _cmd_check_jacobi,
-    "casimir": _cmd_casimir,
-    "hopf-check": _cmd_hopf,
-    "jstruct-check": _cmd_jstruct,
-    "gamma-check": _cmd_gamma,
-    "radial": _cmd_radial,
-    "complexify": _cmd_complexify,
+# command -> (its function, the RunConfig fields it reads besides algebra, file, output)
+_COMMAND_TABLE = {
+    "build": (_cmd_build, ()),
+    "check-jacobi": (_cmd_check_jacobi, ()),
+    "casimir": (_cmd_casimir, ("order", "kind", "check_central")),
+    "hopf-check": (_cmd_hopf, ("samples", "seed", "degree_cap")),
+    "jstruct-check": (_cmd_jstruct, ()),
+    "gamma-check": (_cmd_gamma, ("points", "seed")),
+    "radial": (_cmd_radial, ("points", "weights", "seed")),
+    "complexify": (_cmd_complexify, ("ideal",)),
 }
 
-COMMANDS = tuple(_DISPATCH)
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run(config: RunConfig):
     """Execute a suite; returns (exit_status, report dict)."""
     t0 = time.perf_counter()
-    results, values = _DISPATCH[config.command](config)
+    results, values = _COMMAND_TABLE[config.command][0](config)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     all_pass = all(r["pass"] for r in results)
     report = {
@@ -415,32 +416,31 @@ def _index_list(text: str) -> list:
     return [_at_least(0)(x.strip()) for x in text.split(",") if x.strip()]
 
 
+# the argparse settings of each RunConfig field that is a CLI option
+_OPTIONS = {
+    "algebra": {"help": "builder spec, e.g. gl:2,1"},
+    "file": {"help": "algebra definition JSON file"},
+    "output": {"help": "report file (default: stdout)"},
+    **{name: {"type": _at_least(1)} for name in ("samples", "points", "weights", "order")},
+    "seed": {"type": int},
+    "degree_cap": {"type": _at_least(0)},
+    "kind": {"choices": ["casimir2", "gelfand"]},
+    "check_central": {"action": "store_true"},
+    "ideal": {"type": _index_list, "help": "comma-separated generator indices spanning the ideal"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superalg",
         description="Exact verification suites for Lie superalgebra structures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        # an option not given is left out of the namespace, so RunConfig's
-        # field defaults apply
+    for name, (_, reads) in _COMMAND_TABLE.items():
+        # an option left out keeps RunConfig's default; an undeclared one exits 2
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        p.add_argument("--algebra", help="builder spec, e.g. gl:2,1")
-        p.add_argument("--file", help="algebra definition JSON file")
-        p.add_argument("--samples", type=_at_least(1))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--degree-cap", type=_at_least(0), dest="degree_cap")
-        p.add_argument("--points", type=_at_least(1))
-        p.add_argument("--weights", type=_at_least(1))
-        p.add_argument("--order", type=_at_least(1))
-        p.add_argument("--kind", choices=["casimir2", "gelfand"])
-        p.add_argument("--check-central", action="store_true", dest="check_central")
-        p.add_argument(
-            "--ideal",
-            type=_index_list,
-            help="comma-separated generator indices spanning the ideal",
-        )
-        p.add_argument("--output", help="report file (default: stdout)")
+        for dest in ("algebra", "file", *reads, "output"):
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **_OPTIONS[dest])
     return parser
 
 

@@ -305,10 +305,14 @@ class SmashElement:
         names = self.alg.g.names
         bits = []
         for (a, mon) in sorted(self.terms, key=lambda k: (k[1], k[0].coords.__repr__())):
-            c = self.terms[(a, mon)]
-            word = "*".join(f"{names[g]}^{p}" if p > 1 else names[g] for g, p in mon)
-            bits.append(f"({c})*{a!r}#{word or '1'}")
+            bits.append(f"({self.terms[(a, mon)]})*{_term_label(names, a, mon)}")
         return " + ".join(bits)
+
+
+def _term_label(names, a: TorusElement, mon) -> str:
+    """A smash term a # monomial as text, e.g. (2, 1)#E12*E21^2."""
+    word = "*".join(f"{names[g]}^{p}" if p > 1 else names[g] for g, p in mon)
+    return f"{a!r}#{word or '1'}"
 
 
 _set_element_alg = SmashElement.alg.__set__
@@ -587,6 +591,20 @@ def _twist(t: TensorElement) -> TensorElement:
     return _tensor(alg, 2, out)
 
 
+def _first_difference(lhs, rhs) -> str:
+    """The first term, by monomials and then torus points, whose coefficient
+    differs between two smash or tensor elements, with both coefficients."""
+    legs = (lambda key: (key,)) if isinstance(lhs, SmashElement) else (lambda key: key)
+    key = min(
+        (k for k in lhs.terms.keys() | rhs.terms.keys()
+         if lhs.terms.get(k, ZERO) != rhs.terms.get(k, ZERO)),
+        key=lambda k: tuple((mon, repr(a)) for a, mon in legs(k)),
+    )
+    names = lhs.alg.g.names
+    term = " (x) ".join(_term_label(names, a, mon) for a, mon in legs(key))
+    return f"{term}: {lhs.terms.get(key, ZERO)} vs {rhs.terms.get(key, ZERO)}"
+
+
 def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: int = 2) -> dict:
     """Evaluate antipode identities, counit laws, coassociativity and super
     co-commutativity on seeded random elements; exact pass/fail.  Raises
@@ -611,19 +629,22 @@ def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: in
         with alg.ad_tables():
             delta = coproduct(u)
             right, left = _antipode_convolutions(delta)
-            passed = {
-                "antipode_right": right == unit_scaled,
-                "antipode_left": left == unit_scaled,
-                "counit_left": _counit_contract(delta, 0) == u,
-                "counit_right": _counit_contract(delta, 1) == u,
-                "coassociativity": coproduct_leg(delta, 0) == coproduct_leg(delta, 1),
-                "super_cocommutativity": _twist(delta) == delta,
+            sides = {
+                "antipode_right": (right, unit_scaled),
+                "antipode_left": (left, unit_scaled),
+                "counit_left": (_counit_contract(delta, 0), u),
+                "counit_right": (_counit_contract(delta, 1), u),
+                "coassociativity": (coproduct_leg(delta, 0), coproduct_leg(delta, 1)),
+                "super_cocommutativity": (_twist(delta), delta),
             }
-        for name, ok in passed.items():
-            if ok:
+        for name, (lhs, rhs) in sides.items():
+            if lhs == rhs:
                 checks[name] += 1
             else:
-                failures.append({"check": name, "trial": trial, "witness": repr(u), "detail": ""})
+                failures.append(
+                    {"check": name, "trial": trial, "witness": repr(u),
+                     "detail": _first_difference(lhs, rhs)}
+                )
     return {
         "pass": not failures,
         "samples": samples,

@@ -1,10 +1,19 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from superalg.cli import RunConfig, main, raise_for_status, run
+from superalg.cli import (
+    _COMMAND_TABLE,
+    COMMANDS,
+    RunConfig,
+    _build_parser,
+    main,
+    raise_for_status,
+    run,
+)
 from superalg.errors import CheckFailed
 from superalg.liealg import build_gl, dump_definition
 from superalg.scalars import gr, ONE
@@ -378,6 +387,13 @@ class TestCheckFailures:
         assert [r["check"] for r in failing] == ["super_cocommutativity"]
         witness = failing[0]["witness"]
         assert witness["check"] == "super_cocommutativity" and "#" in witness["witness"]
+        # the detail names the first differing term of Δ twisted and Δ, both coefficients
+        assert witness["detail"] and " vs " in witness["detail"]
+        _, again = run_main(
+            ["hopf-check", "--algebra", "gl:1,1", "--samples", "100", "--seed", "7"],
+            capsys,
+        )
+        assert [r["witness"] for r in again["results"] if not r["pass"]] == [witness]
 
     def test_wrong_laplacian_symbol_exits_1_with_P_fit_witness(self, capsys, monkeypatch):
         # injected defect: c_i / 2 in place of c_i / 4 in the symbol
@@ -474,13 +490,15 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["build", "--ideal", "x"], "--ideal"),
+            (["complexify", "--ideal", "x"], "--ideal"),
             (["complexify", "--ideal", "99"], "--ideal"),
             (["casimir", "--order", "0"], "--order"),
             (["hopf-check", "--degree-cap", "-1", "--samples", "3"], "--degree-cap"),
             (["radial", "--weights", "2"], "--weights"),
             (["gamma-check", "--points", "-3"], "--points"),
             (["casimir", "--kind", "casimir2", "--order", "3"], "--order 3"),
+            # options build does not read
+            (["build", "--degree-cap", "7", "--points", "5", "--ideal", "3"], "--degree-cap 7"),
         ],
     )
     def test_rejected_with_exit_2(self, argv, message, capsys):
@@ -617,3 +635,65 @@ class TestInputBoundary:
     def test_casimir2_at_its_own_order_still_runs(self, capsys):
         status, rep = run_main(["casimir", "--kind", "casimir2", "--order", "2"], capsys)
         assert status == 0 and rep["values"]["order"] == 2
+
+
+# RunConfig fields a command may read beyond algebra, file and output
+EXTRA_FIELDS = [
+    f.name for f in dataclasses.fields(RunConfig)
+    if f.name not in ("command", "algebra", "file", "output")
+]
+# a valid argv value of each option, and a RunConfig value other than the default
+ARGV_VALUE = {
+    "samples": ["3"], "seed": ["1"], "degree_cap": ["1"], "points": ["2"],
+    "weights": ["6"], "order": ["2"], "kind": ["gelfand"], "check_central": [],
+    "ideal": ["0"], "algebra": ["gl:1,1"], "file": ["def.json"], "output": ["out.json"],
+}
+NON_DEFAULT = {
+    "samples": 3, "seed": 5, "degree_cap": 1, "points": 3, "weights": 7, "order": 3,
+    "kind": "gelfand", "check_central": True, "ideal": [1],
+}
+
+
+def flag(field):
+    return "--" + field.replace("_", "-")
+
+
+class TestCommandOptions:
+    """Each command declares exactly the options it reads."""
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [(c, f) for c in COMMANDS for f in EXTRA_FIELDS if f not in _COMMAND_TABLE[c][1]],
+    )
+    def test_undeclared_option_exits_2(self, command, field, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--algebra", "gl:1,1", flag(field), *ARGV_VALUE[field]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err and flag(field) in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_declared_options_are_accepted(self, command):
+        declared = ("algebra", "file", *_COMMAND_TABLE[command][1], "output")
+        argv = [command]
+        for field in declared:
+            argv += [flag(field), *ARGV_VALUE[field]]
+        parsed = vars(_build_parser().parse_args(argv))
+        assert set(parsed) == {"command", *declared}
+        RunConfig(**parsed)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_undeclared_fields_do_not_change_the_report(self, command):
+        # a run with every field the command does not declare moved off its
+        # default has the results and values of a run without them: the
+        # table lists everything the command reads
+        reads = _COMMAND_TABLE[command][1]
+        small = {"samples": 4, "seed": 2, "points": 2, "weights": 6, "ideal": [0]}
+        base = {f: v for f, v in small.items() if f in reads}
+        moved = {f: v for f, v in NON_DEFAULT.items() if f not in reads}
+        _, plain = run(RunConfig(command, "gl:1,1", **base))
+        _, other = run(RunConfig(command, "gl:1,1", **base, **moved))
+        assert other["results"] == plain["results"]
+        assert other.get("values") == plain.get("values")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superalg.cli import COMMANDS, main
+from superalg.cli import _COMMAND_TABLE, COMMANDS, main
 from superalg.liealg import build_gl, dump_definition
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -20,17 +20,41 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100, database=None
 NUMERIC = ["--samples", "--seed", "--degree-cap", "--points", "--weights", "--order"]
 junk = st.text(max_size=6)
 small_int = st.integers(-3, 5).map(str)
+number = st.one_of(small_int, junk)
+algebra = st.one_of(st.sampled_from(["gl:1,1", "gl:0,1", "gl:1"]), junk)
+kind = st.one_of(st.sampled_from(["casimir2", "gelfand"]), junk)
+ideal = st.one_of(st.sampled_from(["0", "1,2", "9"]), junk)
+# file names below the fuzz directory: a valid definition, bytes that are
+# not UTF-8, a directory, a missing file, an unwritable output
+file_name = st.sampled_from(["gl11.json", "latin1.json", ".", "missing.json"])
+output_name = st.sampled_from(["out.json", "missing/out.json"])
 argv_option = st.one_of(
-    st.tuples(st.sampled_from(NUMERIC), st.one_of(small_int, junk)),
-    st.tuples(st.just("--algebra"), st.one_of(st.sampled_from(["gl:1,1", "gl:0,1", "gl:1"]), junk)),
-    st.tuples(st.just("--kind"), st.one_of(st.sampled_from(["casimir2", "gelfand"]), junk)),
-    st.tuples(st.just("--ideal"), st.one_of(st.sampled_from(["0", "1,2", "9"]), junk)),
+    st.tuples(st.sampled_from(NUMERIC), number),
+    st.tuples(st.just("--algebra"), algebra),
+    st.tuples(st.just("--kind"), kind),
+    st.tuples(st.just("--ideal"), ideal),
     st.tuples(st.just("--check-central")),
-    # file names below the fuzz directory: a valid definition, bytes that
-    # are not UTF-8, a directory, a missing file, an unwritable output
-    st.tuples(st.just("--file"), st.sampled_from(["gl11.json", "latin1.json", ".", "missing.json"])),
-    st.tuples(st.just("--output"), st.sampled_from(["out.json", "missing/out.json"])),
+    st.tuples(st.just("--file"), file_name),
+    st.tuples(st.just("--output"), output_name),
 )
+# the values after each option's flag, keyed by the RunConfig field it sets
+OPTION_VALUES = {
+    **{f: (number,) for f in ("samples", "seed", "degree_cap", "points", "weights", "order")},
+    "algebra": (algebra,),
+    "kind": (kind,),
+    "ideal": (ideal,),
+    "check_central": (),
+    "file": (file_name,),
+    "output": (output_name,),
+}
+
+
+def declared_option(command):
+    """(flag, *values) of an option the command declares."""
+    fields = ("algebra", "file", *_COMMAND_TABLE[command][1], "output")
+    return st.sampled_from(fields).flatmap(
+        lambda f: st.tuples(st.just("--" + f.replace("_", "-")), *OPTION_VALUES[f])
+    )
 
 
 def _paths(node, prefix=()):
@@ -79,6 +103,21 @@ def test_random_argv_exits_cleanly(fuzz_dir, command, options):
     assert run_cli(argv) in (0, 1, 2)
 
 
+@FUZZ
+@given(st.sampled_from(COMMANDS).flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(declared_option(c), max_size=4))
+))
+def test_declared_argv_exits_cleanly(fuzz_dir, drawn):
+    # options the command declares pass argparse, so runs reach the command body
+    command, options = drawn
+    argv = [command]
+    for name, *value in options:
+        if name in ("--file", "--output"):
+            value = [str(fuzz_dir / value[0])]
+        argv += [name, *value]
+    assert run_cli(argv) in (0, 1, 2)
+
+
 @st.composite
 def mutated_definition(draw):
     data = copy.deepcopy(GL11)
@@ -111,5 +150,8 @@ def mutated_definition(draw):
 def test_mutated_definition_file_exits_cleanly(fuzz_dir, command, data):
     path = fuzz_dir / "mutated.json"
     path.write_text(json.dumps(data))
-    status = run_cli([command, "--file", str(path), "--samples", "3", "--points", "2"])
+    small = {"samples": "3", "points": "2"}
+    reads = _COMMAND_TABLE[command][1]
+    counts = [a for f, v in small.items() if f in reads for a in ("--" + f, v)]
+    status = run_cli([command, "--file", str(path), *counts])
     assert status in (0, 1, 2)

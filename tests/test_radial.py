@@ -169,6 +169,15 @@ class TestGammaOracle:
         assert rep["skipped"] == 1
         assert rep["points"][1]["singular"]
 
+    def test_every_point_skipped_fails(self, gl11):
+        # (1, 1) and (-1, 1) give the odd roots Ad eigenvalue 1: nothing is compared
+        _, form, rs = gl11
+        pts = [TorusElement((gr(1), gr(1))), TorusElement((gr(-1), gr(1)))]
+        rep = check_gamma_oracle(rs, form, pts)
+        assert rep["pass"] is False
+        assert rep["skipped"] == 2 and rep["sign"] is None
+        assert all(e["agree"] for e in rep["points"])
+
     def test_singular_locus_agreement(self, gl11, gl21):
         # points with an odd root eigenvalue 1: the superdeterminant raises
         # and the closed form's denominator vanishes, at every such point
