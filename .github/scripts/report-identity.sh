@@ -37,7 +37,8 @@ digests() {
 }
 
 # The report of one CLI run, pretty-printed without its timing_ms keys; a
-# nonzero exit status is kept as the last line.
+# nonzero exit status is kept as the last line.  Fails when the CLI prints
+# no JSON report: a rung refused as malformed input checks nothing.
 report() {
   local status=0 out
   out=$(cd "$1" && PYTHONPATH=src python3 -m superalg.cli $2) || status=$?
@@ -51,7 +52,11 @@ def strip(x):
         return [strip(v) for v in x]
     return x
 
-print(json.dumps(strip(json.load(sys.stdin)), indent=1, sort_keys=True))'
+try:
+    report = json.load(sys.stdin)
+except ValueError:
+    sys.exit(f"{sys.argv[1]}: no JSON report")
+print(json.dumps(strip(report), indent=1, sort_keys=True))' "$1" || return 1
   echo "exit $status"
 }
 
@@ -66,7 +71,11 @@ fi
 echo "all $(printf '%s\n' "$head" | wc -l) report digests match the base"
 
 for rung in "${RUNGS[@]}"; do
-  if ! diff <(report "$1" "$rung") <(report "$2" "$rung") >&2; then
+  if ! base_report=$(report "$1" "$rung") || ! head_report=$(report "$2" "$rung"); then
+    echo "'$rung' printed no report" >&2
+    exit 1
+  fi
+  if ! diff <(printf '%s\n' "$base_report") <(printf '%s\n' "$head_report") >&2; then
     echo "report of '$rung' differs from the base" >&2
     exit 1
   fi

@@ -264,7 +264,7 @@ def _cmd_jstruct(config: RunConfig):
 def _gamma_row(rep: dict) -> dict:
     """Result row of a check_gamma_oracle report; a failing row names the
     first three disagreeing points."""
-    witness = None if rep["pass"] else [e for e in rep["points"] if not e.get("agree", True)][:3]
+    witness = None if rep["pass"] else [e for e in rep["points"] if not e["agree"]][:3]
     return {"check": "gamma-oracle", "pass": rep["pass"], "witness": witness}
 
 

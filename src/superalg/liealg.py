@@ -94,17 +94,17 @@ class LieSuperalgebra:
         try:
             gens = data["generators"]
             names = [g["name"] for g in gens]
-            parities = [int(g["parity"]) for g in gens]
+            parities = [_json_int(g["parity"]) for g in gens]
             n = len(names)
             table: dict = {}
             for ent in data.get("brackets", []):
-                i, j = int(ent["i"]), int(ent["j"])
+                i, j = _json_int(ent["i"]), _json_int(ent["j"])
                 if not (0 <= i < n and 0 <= j < n):
                     raise ParseError(f"bracket entry ({i},{j}) out of range")
                 vec = {}
                 for item in ent["result"]:
                     re_part, im_part, k = item
-                    k = int(k)
+                    k = _json_int(k)
                     if not 0 <= k < n:
                         raise ParseError(f"bracket target {k} out of range")
                     c = GaussianRational(_frac_load(re_part), _frac_load(im_part))
@@ -123,6 +123,14 @@ class LieSuperalgebra:
             raise ParseError(f"malformed algebra definition: {exc}") from exc
 
 
+def _json_int(x) -> int:
+    """x when it is a JSON integer; ValueError for a float or bool, which
+    int() would silently truncate or read as 0/1."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _frac_json(fr):
     return (fr.numerator, fr.denominator)
 
@@ -130,10 +138,10 @@ def _frac_json(fr):
 def _frac_load(item):
     from fractions import Fraction
 
-    if isinstance(item, int):
+    if type(item) is int:
         return Fraction(item)
     if isinstance(item, (list, tuple)) and len(item) == 2:
-        return Fraction(int(item[0]), int(item[1]))
+        return Fraction(_json_int(item[0]), _json_int(item[1]))
     raise ParseError(f"bad rational encoding: {item!r}")
 
 
@@ -289,12 +297,16 @@ class RootSystem:
     @classmethod
     def from_json(cls, data):
         return cls(
-            [int(h) for h in data["cartan"]],
+            [_json_int(h) for h in data["cartan"]],
             [
-                Root(tuple(int(w) for w in r["weight"]), int(r["parity"]), int(r["index"]))
+                Root(
+                    tuple(_json_int(w) for w in r["weight"]),
+                    _json_int(r["parity"]),
+                    _json_int(r["index"]),
+                )
                 for r in data["roots"]
             ],
-            [int(p) for p in data["positives"]],
+            [_json_int(p) for p in data["positives"]],
         )
 
 
@@ -508,7 +520,8 @@ def load_definition(text_or_dict):
 
 def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
     """The Cartan (even) and root-vector indices split the basis with its
-    parities, roots come in +/- pairs of one parity, every weight satisfies
+    parities, roots come in +/- pairs of one parity, positives holds exactly
+    one root of each pair and no root twice, every weight satisfies
     the eigen-equations, every bracket [X, Y] lies in weight w_X + w_Y, and
     no weight entry exceeds MAX_ROOT_WEIGHT in absolute value; else ValueError."""
     parities = {h: EVEN for h in rs.cartan}
@@ -517,6 +530,13 @@ def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
         raise ValueError("root_system: Cartan and root indices must split the basis by parity")
     for r in rs.roots:
         rs.negative_of(r)
+    positive_pairs = [_pair_of(rs.roots[p]) for p in rs.positives]
+    for r in rs.roots:
+        if positive_pairs.count(_pair_of(r)) != 1:
+            raise ValueError(
+                f"root_system: positives must hold exactly one of {g.names[r.index]} "
+                "and its opposite"
+            )
     eigen = rs.validate(g)
     if not eigen["pass"]:
         h, x = eigen["witness"]
@@ -533,3 +553,8 @@ def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
         w = tuple(a + b for a, b in zip(weight[i], weight[j]))
         if any(weight[k] != w for k in vec):
             raise ValueError(f"root_system: [{g.names[i]}, {g.names[j]}] leaves weight {list(w)}")
+
+
+def _pair_of(r: Root) -> tuple:
+    """The +/- pair of r: its parity and the set {w, -w} of its weight."""
+    return r.parity, frozenset((r.weight, tuple(-w for w in r.weight)))

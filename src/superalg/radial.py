@@ -73,7 +73,9 @@ def gamma_closed_form(rs: RootSystem) -> TorusRational:
 
 def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
     """Compare the closed form against the Jacobian superdeterminant at the
-    given torus points; pass iff one global sign makes all pairs equal.
+    given torus points; pass iff sdet = sign * closed at every regular
+    point, where sign = i^|R1| = (-1)^|R1+| is the frame constant of the
+    module docstring, read off the root system before any point is seen.
 
     The form enters once: the orthosymplectic frame must bring it to
     normal form (DegenerateForm otherwise).  The Berezinian itself is
@@ -88,58 +90,30 @@ def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
         raise ValueError("no points to check")
     check_frame(rs, form)
     gamma = gamma_closed_form(rs)
+    sign = (-1) ** len(rs.odd_positives)
     entries = []
-    sign = None
-    ok = True
     for a in points:
-        coords = a.coords if isinstance(a, TorusElement) else tuple(a)
-        point = TorusElement(coords)
+        point = a if isinstance(a, TorusElement) else TorusElement(tuple(a))
         den_val = gamma.den.eval(point.coords)
         closed_singular = den_val.is_zero()
         try:
             sdet_val = gamma_via_sdet(rs, point)
-            sdet_singular = False
         except SingularOddBlock:
             sdet_val = None
-            sdet_singular = True
-        ent = {
-            "point": point.to_json(),
-            "singular": closed_singular or sdet_singular,
-        }
-        if closed_singular != sdet_singular:
-            ent["agree"] = False
-            ok = False
-            entries.append(ent)
-            continue
-        if closed_singular:
-            ent["agree"] = True
-            ent["notice"] = "skipped: singular point"
-            entries.append(ent)
-            continue
-        closed_val = gamma.num.eval(point.coords) / den_val
-        ent["closed"] = closed_val.to_json()
-        ent["sdet"] = sdet_val.to_json()
-        if closed_val.is_zero() and sdet_val.is_zero():
-            ent["agree"] = True
-            entries.append(ent)
-            continue
-        if sign is None:
-            if closed_val == sdet_val:
-                sign = 1
-            elif closed_val == -sdet_val:
-                sign = -1
-            else:
-                ok = False
-                ent["agree"] = False
-                entries.append(ent)
-                continue
-        agree = closed_val == (sdet_val if sign == 1 else -sdet_val)
-        ent["agree"] = agree
-        ok = ok and agree
+        ent = {"point": point.to_json(), "singular": closed_singular or sdet_val is None}
+        if ent["singular"]:
+            ent["agree"] = closed_singular == (sdet_val is None)
+            if ent["agree"]:
+                ent["notice"] = "skipped: singular point"
+        else:
+            closed_val = gamma.num.eval(point.coords) / den_val
+            ent["closed"] = closed_val.to_json()
+            ent["sdet"] = sdet_val.to_json()
+            ent["agree"] = sdet_val == closed_val * sign
         entries.append(ent)
     skipped = sum(1 for e in entries if e.get("notice"))
     return {
-        "pass": ok and skipped < len(entries),
+        "pass": all(e["agree"] for e in entries) and skipped < len(entries),
         "sign": sign,
         "points": entries,
         "skipped": skipped,

@@ -189,6 +189,24 @@ class TestFiles:
         assert status == 1
         assert [r["check"] for r in rep["results"] if not r["pass"]] == failing
 
+    def test_opposite_positive_roots_give_the_same_sign(self, capsys, tmp_path):
+        # gamma and its sign i^|R1| depend on the root pairs, not on which
+        # root of each pair is called positive
+        g, form, rs = build_gl(2, 1)
+        data = dump_definition(g, form, rs)
+        data["root_system"]["positives"] = sorted(
+            rs.roots.index(rs.negative_of(rs.roots[p])) for p in rs.positives
+        )
+        assert not set(data["root_system"]["positives"]) & set(rs.positives)
+        path = tmp_path / "def.json"
+        path.write_text(json.dumps(data))
+        argv = ["gamma-check", "--points", "6", "--seed", "1"]
+        status, rep = run_main(argv + ["--file", str(path)], capsys)
+        _, builtin = run_main(argv + ["--algebra", "gl:2,1"], capsys)
+        assert status == 0 and rep["pass"] is True
+        assert rep["values"]["sign"] == builtin["values"]["sign"] == 1
+        assert rep["values"]["skipped"] == 0
+
     def test_jstruct_check_loads_J_from_file(self, capsys, tmp_path):
         from superalg.jstruct import realify
 
@@ -455,6 +473,28 @@ class TestCheckFailures:
         others = [r for r in rep["results"] if r["check"] != "gamma-oracle"]
         assert all(r["pass"] for r in others)
 
+    @pytest.mark.parametrize("algebra", ["gl:1,1", "gl:2,1", "gl:2,2"])
+    def test_negated_sdet_exits_1_with_gamma_witness(self, algebra, capsys, monkeypatch):
+        # injected defect: the Jacobian Berezinian with the opposite global
+        # sign, which a sign taken from the first point would absorb
+        import superalg.radial as radial
+
+        real = radial.gamma_via_sdet
+        monkeypatch.setattr(radial, "gamma_via_sdet", lambda rs, a: -real(rs, a))
+        status, rep = run_main(
+            ["gamma-check", "--algebra", algebra, "--points", "6", "--seed", "1"], capsys
+        )
+        assert status == 1 and rep["pass"] is False
+        m, n = (int(x) for x in algebra[3:].split(","))
+        sign = rep["values"]["sign"]
+        assert sign == (-1) ** (m * n)
+        row = rep["results"][0]
+        assert row["check"] == "gamma-oracle" and row["pass"] is False
+        assert 1 <= len(row["witness"]) <= 3
+        for ent in row["witness"]:
+            # the negated sdet is -sign * closed: equal to closed when sign = -1
+            assert ent["agree"] is False and (ent["sdet"] == ent["closed"]) == (sign == -1)
+
     @pytest.mark.parametrize("command", ["gamma-check", "radial"])
     @pytest.mark.parametrize(
         "defect", ["odd-pairing-zero", "mate-pairing-doubled", "cartan-null"]
@@ -546,6 +586,28 @@ class TestInputBoundary:
              "fails super Jacobi at (E21, E21, E12)"),
             (["casimir", "--order", "2", "--check-central"], "form-not-invariant",
              "DegenerateForm: quadratic form is not invariant at (E21, E12, E11)"),
+            # the predicted sign i^|R1| needs one positive root per +- pair;
+            # the first two once exited 1 with an IndexError traceback
+            (["gamma-check"], "positives-both-of-a-pair", "exactly one of E21 and its opposite"),
+            (["radial"], "positives-both-of-a-pair", "exactly one of E21 and its opposite"),
+            (["gamma-check"], "positives-repeated", "exactly one of E21 and its opposite"),
+            (["radial"], "positives-repeated", "exactly one of E21 and its opposite"),
+            (["gamma-check"], "positives-empty", "exactly one of E21 and its opposite"),
+            (["radial"], "positives-empty", "exactly one of E21 and its opposite"),
+            # a float or bool where an integer belongs; int() once truncated
+            # the first three to a valid gl(1|1), which then passed
+            (["gamma-check", "--points", "2"], "weights-scaled-1.9", "expected an integer, got -1.9"),
+            (["check-jacobi"], "numerator-1.7", "expected an integer, got 1.7"),
+            (["build"], "numerator-1.7", "expected an integer, got 1.7"),
+            (["build"], "denominator-true", "expected an integer, got True"),
+            (["build"], "imaginary-part-true", "bad rational encoding: True"),
+            (["check-jacobi"], "parity-float", "expected an integer, got 1.0"),
+            (["check-jacobi"], "parity-true", "expected an integer, got True"),
+            (["build"], "bracket-index-float", "expected an integer, got 0.0"),
+            (["build"], "bracket-target-float", "expected an integer, got 0.0"),
+            (["gamma-check"], "cartan-float", "expected an integer, got 1.0"),
+            (["gamma-check"], "root-index-float", "expected an integer, got 0.0"),
+            (["radial"], "positive-float", "expected an integer, got 1.0"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -598,6 +660,33 @@ class TestInputBoundary:
             # 0, not 2 w(E12); the closed-form antipode needs the grading
             i11, i12 = g.names.index("E11"), g.names.index("E12")
             data["brackets"].append({"i": i12, "j": i12, "result": [[[1, 1], [0, 1], i11]]})
+        elif definition == "positives-both-of-a-pair":
+            data["root_system"]["positives"] = [0, 1]
+        elif definition == "positives-repeated":
+            data["root_system"]["positives"] = [1, 1]
+        elif definition == "positives-empty":
+            data["root_system"]["positives"] = []
+        elif definition == "weights-scaled-1.9":
+            for root in data["root_system"]["roots"]:
+                root["weight"] = [w * 1.9 for w in root["weight"]]
+        elif definition == "numerator-1.7":
+            data["brackets"][0]["result"][0][0][0] = 1.7
+        elif definition == "denominator-true":
+            data["brackets"][0]["result"][0][0][1] = True
+        elif definition == "imaginary-part-true":
+            data["brackets"][0]["result"][0][1] = True
+        elif definition.startswith("parity-"):
+            data["generators"][0]["parity"] = 1.0 if definition == "parity-float" else True
+        elif definition == "bracket-index-float":
+            data["brackets"][0]["i"] = 0.0
+        elif definition == "bracket-target-float":
+            data["brackets"][0]["result"][0][2] = 0.0
+        elif definition == "cartan-float":
+            data["root_system"]["cartan"][0] = 1.0
+        elif definition == "root-index-float":
+            data["root_system"]["roots"][0]["index"] = 0.0
+        elif definition == "positive-float":
+            data["root_system"]["positives"] = [1.0]
         path = tmp_path / "def.json"
         path.write_text(json.dumps(data))
         status = main(argv + ["--file", str(path)])

@@ -175,8 +175,24 @@ class TestGammaOracle:
         pts = [TorusElement((gr(1), gr(1))), TorusElement((gr(-1), gr(1)))]
         rep = check_gamma_oracle(rs, form, pts)
         assert rep["pass"] is False
-        assert rep["skipped"] == 2 and rep["sign"] is None
+        assert rep["skipped"] == 2 and rep["sign"] == -1
         assert all(e["agree"] for e in rep["points"])
+
+    def test_negated_berezinian_fails(self, gl11, gl21, gl22, monkeypatch):
+        # the sign is predicted, not read off the first point: a Berezinian
+        # with the opposite global sign disagrees at every nonzero point
+        import superalg.radial as radial
+
+        real = radial.gamma_via_sdet
+        monkeypatch.setattr(radial, "gamma_via_sdet", lambda rs, a: -real(rs, a))
+        for bundle, seed in ((gl11, 31), (gl21, 32), (gl22, 33)):
+            _, form, rs = bundle
+            rep = check_gamma_oracle(rs, form, sample_regular_points(rs, 5, seed))
+            assert rep["pass"] is False
+            assert rep["sign"] == (-1) ** len(rs.odd_positives)
+            # only the points on gamma's zero locus still agree, as 0 = -0
+            assert all(e["agree"] == (e["closed"] == gr(0).to_json()) for e in rep["points"])
+            assert not all(e["agree"] for e in rep["points"])
 
     def test_singular_locus_agreement(self, gl11, gl21):
         # points with an odd root eigenvalue 1: the superdeterminant raises
