@@ -18,11 +18,13 @@ RUNGS=(
   "casimir --algebra gl:3,3 --kind casimir2 --check-central"
   "casimir --algebra gl:3,3 --kind gelfand --order 4 --check-central"
   "casimir --algebra gl:3,3 --kind gelfand --order 5 --check-central"
+  "casimir --algebra gl:2,3 --kind gelfand --order 3 --check-central"
   "hopf-check --algebra gl:2,2 --samples 20 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:3,1 --samples 30 --degree-cap 5 --seed 1"
   "hopf-check --algebra gl:1,3 --samples 40 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:2,1 --samples 150 --degree-cap 3 --seed 7"
   "build --algebra gl:3,3"
+  "build --algebra gl:1,3"
   "check-jacobi --algebra gl:3,3"
   "jstruct-check --algebra gl:2,2"
   "complexify --algebra gl:2,2 --ideal 0"

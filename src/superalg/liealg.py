@@ -16,11 +16,12 @@ them accumulates into one dict through linalg.add_term or add_scaled.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateForm, ParseError, ZeroTorusCoordinate
 from .linalg import add_scaled, add_term, inv
-from .scalars import GaussianRational, ONE, ZERO, gr
+from .scalars import GaussianRational, ONE, ZERO, gr, json_fraction, json_int
 
 EVEN, ODD = 0, 1
 
@@ -94,17 +95,17 @@ class LieSuperalgebra:
         try:
             gens = data["generators"]
             names = [g["name"] for g in gens]
-            parities = [_json_int(g["parity"]) for g in gens]
+            parities = [json_int(g["parity"]) for g in gens]
             n = len(names)
             table: dict = {}
             for ent in data.get("brackets", []):
-                i, j = _json_int(ent["i"]), _json_int(ent["j"])
+                i, j = json_int(ent["i"]), json_int(ent["j"])
                 if not (0 <= i < n and 0 <= j < n):
                     raise ParseError(f"bracket entry ({i},{j}) out of range")
                 vec = {}
                 for item in ent["result"]:
                     re_part, im_part, k = item
-                    k = _json_int(k)
+                    k = json_int(k)
                     if not 0 <= k < n:
                         raise ParseError(f"bracket target {k} out of range")
                     c = GaussianRational(_frac_load(re_part), _frac_load(im_part))
@@ -123,26 +124,13 @@ class LieSuperalgebra:
             raise ParseError(f"malformed algebra definition: {exc}") from exc
 
 
-def _json_int(x) -> int:
-    """x when it is a JSON integer; ValueError for a float or bool, which
-    int() would silently truncate or read as 0/1."""
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
-
-
 def _frac_json(fr):
     return (fr.numerator, fr.denominator)
 
 
 def _frac_load(item):
-    from fractions import Fraction
-
-    if type(item) is int:
-        return Fraction(item)
-    if isinstance(item, (list, tuple)) and len(item) == 2:
-        return Fraction(_json_int(item[0]), _json_int(item[1]))
-    raise ParseError(f"bad rational encoding: {item!r}")
+    """A rational part of a bracket coefficient: an integer or [num, den]."""
+    return Fraction(item) if type(item) is int else json_fraction(item)
 
 
 class QuadraticForm:
@@ -163,7 +151,10 @@ class QuadraticForm:
         return self.gram[i][j]
 
     def validate(self, g: LieSuperalgebra) -> dict:
-        """Check even / supersymmetric / invariant / non-degenerate."""
+        """Check even / supersymmetric / invariant / non-degenerate; the
+        witness of a failing check is its first pair or triple in index
+        order.  Invariance, b([X_i, X_j], X_k) = b(X_i, [X_j, X_k]), is
+        compared for all k of a pair (i, j) at once, on sparse vectors."""
         n = self.dim
         if n != g.dim:
             return {"pass": False, "witness": "dimension mismatch"}
@@ -182,20 +173,30 @@ class QuadraticForm:
                         "check": "supersymmetric",
                         "witness": [g.names[i], g.names[j]],
                     }
-        gram = self.gram
+        # b([X_i, X_j], X_k) and b(X_i, [X_j, X_k]) as sparse vectors in k:
+        # the first from the nonzero Gram rows, the second from the k with
+        # [X_j, X_k] != 0
+        rows = [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in self.gram]
+        right = _right_brackets(g)
         for i in range(n):
+            row_i = rows[i]
             for j in range(n):
-                b_ij = g.bracket(i, j)
-                for k in range(n):
-                    # b([X_i, X_j], X_k) = b(X_i, [X_j, X_k])
-                    lhs = sum((c * gram[t][k] for t, c in b_ij.items()), ZERO)
-                    rhs = sum((c * gram[i][t] for t, c in g.bracket(j, k).items()), ZERO)
-                    if lhs != rhs:
-                        return {
-                            "pass": False,
-                            "check": "invariant",
-                            "witness": [g.names[i], g.names[j], g.names[k]],
-                        }
+                lhs: dict = {}
+                for t, c in g.bracket(i, j).items():
+                    add_scaled(lhs, rows[t], c)
+                rhs: dict = {}
+                for k, vec in right.get(j, {}).items():
+                    for t, c in vec.items():
+                        b = row_i.get(t)
+                        if b is not None:
+                            add_term(rhs, k, c * b)
+                if lhs != rhs:
+                    k = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+                    return {
+                        "pass": False,
+                        "check": "invariant",
+                        "witness": [g.names[i], g.names[j], g.names[k]],
+                    }
         if inv([list(r) for r in self.gram]) is None:
             return {"pass": False, "check": "non-degenerate", "witness": None}
         return {"pass": True, "witness": None}
@@ -297,16 +298,16 @@ class RootSystem:
     @classmethod
     def from_json(cls, data):
         return cls(
-            [_json_int(h) for h in data["cartan"]],
+            [json_int(h) for h in data["cartan"]],
             [
                 Root(
-                    tuple(_json_int(w) for w in r["weight"]),
-                    _json_int(r["parity"]),
-                    _json_int(r["index"]),
+                    tuple(json_int(w) for w in r["weight"]),
+                    json_int(r["parity"]),
+                    json_int(r["index"]),
                 )
                 for r in data["roots"]
             ],
-            [_json_int(p) for p in data["positives"]],
+            [json_int(p) for p in data["positives"]],
         )
 
 
@@ -410,33 +411,57 @@ def check_structure(g: LieSuperalgebra) -> dict:
     return {"pass": True, "check": "structure", "witness": None}
 
 
+def _right_brackets(g: LieSuperalgebra) -> dict:
+    """right[x] = {k: [X_x, X_k]} over the k with a nonzero bracket, in k
+    order, read off the table once; right[x].get(t) is bracket(x, t)."""
+    right: dict = {}
+    for x, k in sorted(g.table):
+        right.setdefault(x, {})[k] = g.table[(x, k)]
+    return right
+
+
 def check_jacobi(g: LieSuperalgebra) -> dict:
     """Super Jacobi in derivation form:
-    [X,[Y,Z]] = [[X,Y],Z] + (-1)^{|X||Y|} [Y,[X,Z]] for all basis triples."""
+    [X,[Y,Z]] = [[X,Y],Z] + (-1)^{|X||Y|} [Y,[X,Z]] for all basis triples.
+
+    For each pair (i, j) the defects of every k are accumulated at once from
+    the right-adjacency lists of _right_brackets, so only the k where some
+    bracket is nonzero are visited.  Each defect receives its terms in the
+    order a triple-at-a-time loop would add them, and the witness is the
+    least failing k of the first failing pair.  Every ordered pair is
+    checked: a table read from a file need not be super-antisymmetric."""
     n = g.dim
+    right = _right_brackets(g)
     for i in range(n):
+        right_i = right.get(i, {})
         for j in range(n):
+            right_j = right.get(j, {})
             sign = ONE if (g.parities[i] and g.parities[j]) else -ONE
-            b_ij = g.bracket(i, j)
-            for k in range(n):
-                # [X_i,[X_j,X_k]] - [[X_i,X_j],X_k] - (-1)^{|i||j|} [X_j,[X_i,X_k]]
-                defect: dict = {}
-                for t, c in g.bracket(j, k).items():
-                    add_scaled(defect, g.bracket(i, t), c)
-                for t, c in b_ij.items():
-                    add_scaled(defect, g.bracket(t, k), -c)
-                for t, c in g.bracket(i, k).items():
-                    add_scaled(defect, g.bracket(j, t), c * sign)
-                if defect:
-                    return {
-                        "pass": False,
-                        "witness": {
-                            "triple": [g.names[i], g.names[j], g.names[k]],
-                            "indices": [i, j, k],
-                            "defect": {g.names[t]: str(c) for t, c in defect.items()},
-                        },
-                        "checked": n * n * n,
-                    }
+            # defects[k] = [X_i,[X_j,X_k]] - [[X_i,X_j],X_k] - (-1)^{|i||j|} [X_j,[X_i,X_k]]
+            defects: dict = {}
+            for k, vec in right_j.items():
+                for t, c in vec.items():
+                    if t in right_i:
+                        add_scaled(defects.setdefault(k, {}), right_i[t], c)
+            for t, c in right_i.get(j, {}).items():
+                for k, vec in right.get(t, {}).items():
+                    add_scaled(defects.setdefault(k, {}), vec, -c)
+            for k, vec in right_i.items():
+                for t, c in vec.items():
+                    if t in right_j:
+                        add_scaled(defects.setdefault(k, {}), right_j[t], c * sign)
+            failing = [k for k, defect in defects.items() if defect]
+            if failing:
+                k = min(failing)
+                return {
+                    "pass": False,
+                    "witness": {
+                        "triple": [g.names[i], g.names[j], g.names[k]],
+                        "indices": [i, j, k],
+                        "defect": {g.names[t]: str(c) for t, c in defects[k].items()},
+                    },
+                    "checked": n * n * n,
+                }
     return {"pass": True, "witness": None, "checked": n * n * n}
 
 

@@ -222,19 +222,35 @@ class GaussianRational:
     @classmethod
     def from_json(cls, data) -> "GaussianRational":
         """Accepts an int, [num, den], [re_n, re_d, im_n, im_d], or a pair
-        of [num, den] pairs for real and imaginary parts."""
-        if isinstance(data, int):
+        of [num, den] pairs for real and imaginary parts.  Every entry must
+        be a JSON integer: ValueError for a float or a bool, which Fraction
+        would read as a number."""
+        if type(data) is int:
             return cls(data)
-        if len(data) == 2:
-            if isinstance(data[0], (list, tuple)):
-                return cls(
-                    Fraction(data[0][0], data[0][1]),
-                    Fraction(data[1][0], data[1][1]),
-                )
-            return cls(Fraction(data[0], data[1]))
-        if len(data) == 4:
-            return cls(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
+        if isinstance(data, (list, tuple)):
+            if len(data) == 2 and isinstance(data[0], (list, tuple)):
+                return cls(json_fraction(data[0]), json_fraction(data[1]))
+            if len(data) == 2:
+                return cls(json_fraction(data))
+            if len(data) == 4:
+                return cls(json_fraction(data[:2]), json_fraction(data[2:]))
         raise ValueError(f"bad scalar encoding: {data!r}")
+
+
+def json_int(x) -> int:
+    """x when it is a JSON integer; ValueError for a float or bool, which
+    int() would silently truncate or read as 0/1."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def json_fraction(pair) -> Fraction:
+    """The rational num/den of a [num, den] pair of JSON integers;
+    ValueError for anything else."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"bad rational encoding: {pair!r}")
+    return Fraction(json_int(pair[0]), json_int(pair[1]))
 
 
 _new = object.__new__

@@ -608,6 +608,15 @@ class TestInputBoundary:
             (["gamma-check"], "cartan-float", "expected an integer, got 1.0"),
             (["gamma-check"], "root-index-float", "expected an integer, got 0.0"),
             (["radial"], "positive-float", "expected an integer, got 1.0"),
+            # a bool in a scalar of the form or J once loaded as 0 or 1
+            (["build"], "form-entry-true", "malformed definition: bad scalar encoding: True"),
+            (["build"], "form-entry-pair-true", "malformed definition: expected an integer, got True"),
+            (["build"], "form-entry-quad-true", "malformed definition: expected an integer, got True"),
+            (["build"], "form-entry-pairs-true", "malformed definition: expected an integer, got True"),
+            (["jstruct-check"], "J-entry-true", "malformed definition: bad scalar encoding: True"),
+            (["jstruct-check"], "J-entry-pair-true", "malformed definition: expected an integer, got True"),
+            (["jstruct-check"], "J-entry-quad-true", "malformed definition: expected an integer, got True"),
+            (["jstruct-check"], "J-entry-pairs-true", "malformed definition: expected an integer, got True"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -619,6 +628,9 @@ class TestInputBoundary:
         if definition == "non-square-J":
             real, j = realify(g)
             data = dump_definition(real, j_matrix=[row[:-1] for row in j.matrix])
+        elif definition.startswith("J-entry-"):
+            real, j = realify(g)
+            data = dump_definition(real, j_matrix=j.matrix)
         elif definition == "non-jacobi":
             data = non_jacobi_gl11()
         else:
@@ -687,6 +699,14 @@ class TestInputBoundary:
             data["root_system"]["roots"][0]["index"] = 0.0
         elif definition == "positive-float":
             data["root_system"]["positives"] = [1.0]
+        if "-entry-" in definition:
+            key, encoding = definition.split("-entry-")
+            data[key][0][0] = {
+                "true": True,
+                "pair-true": [True, 1],
+                "quad-true": [2, 1, 0, True],
+                "pairs-true": [[1, 1], [True, 1]],
+            }[encoding]
         path = tmp_path / "def.json"
         path.write_text(json.dumps(data))
         status = main(argv + ["--file", str(path)])

@@ -2,6 +2,7 @@
 oracle: elementary matrices multiplied as plain arrays, with the graded
 commutator and supertrace computed from first principles."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from superalg.liealg import (
     load_definition,
     theta_dual,
 )
-from superalg.sampling import rand_torus_coords, rng
+from superalg.linalg import add_scaled, inv
+from superalg.sampling import rand_scalar, rand_torus_coords, rng
 from superalg.scalars import gr, ONE, ZERO
 
 
@@ -280,6 +282,184 @@ class TestFormValidation:
         )
         rep = bad.validate(g)
         assert rep == {"pass": False, "check": "non-degenerate", "witness": None}
+
+
+# The triple-at-a-time loops that check_jacobi and the invariance part of
+# QuadraticForm.validate replaced, kept verbatim as oracles: every basis
+# triple is visited, and every defect and both sides of invariance are
+# built from g.bracket one triple at a time.
+
+
+def triple_loop_check_jacobi(g: LieSuperalgebra) -> dict:
+    n = g.dim
+    for i in range(n):
+        for j in range(n):
+            sign = ONE if (g.parities[i] and g.parities[j]) else -ONE
+            b_ij = g.bracket(i, j)
+            for k in range(n):
+                # [X_i,[X_j,X_k]] - [[X_i,X_j],X_k] - (-1)^{|i||j|} [X_j,[X_i,X_k]]
+                defect: dict = {}
+                for t, c in g.bracket(j, k).items():
+                    add_scaled(defect, g.bracket(i, t), c)
+                for t, c in b_ij.items():
+                    add_scaled(defect, g.bracket(t, k), -c)
+                for t, c in g.bracket(i, k).items():
+                    add_scaled(defect, g.bracket(j, t), c * sign)
+                if defect:
+                    return {
+                        "pass": False,
+                        "witness": {
+                            "triple": [g.names[i], g.names[j], g.names[k]],
+                            "indices": [i, j, k],
+                            "defect": {g.names[t]: str(c) for t, c in defect.items()},
+                        },
+                        "checked": n * n * n,
+                    }
+    return {"pass": True, "witness": None, "checked": n * n * n}
+
+
+def triple_loop_validate(form: QuadraticForm, g: LieSuperalgebra) -> dict:
+    n = form.dim
+    if n != g.dim:
+        return {"pass": False, "witness": "dimension mismatch"}
+    for i in range(n):
+        for j in range(n):
+            if g.parities[i] != g.parities[j] and not form.gram[i][j].is_zero():
+                return {
+                    "pass": False,
+                    "check": "even",
+                    "witness": [g.names[i], g.names[j]],
+                }
+            sign = -1 if (g.parities[i] and g.parities[j]) else 1
+            if form.gram[i][j] != form.gram[j][i] * sign:
+                return {
+                    "pass": False,
+                    "check": "supersymmetric",
+                    "witness": [g.names[i], g.names[j]],
+                }
+    gram = form.gram
+    for i in range(n):
+        for j in range(n):
+            b_ij = g.bracket(i, j)
+            for k in range(n):
+                # b([X_i, X_j], X_k) = b(X_i, [X_j, X_k])
+                lhs = sum((c * gram[t][k] for t, c in b_ij.items()), ZERO)
+                rhs = sum((c * gram[i][t] for t, c in g.bracket(j, k).items()), ZERO)
+                if lhs != rhs:
+                    return {
+                        "pass": False,
+                        "check": "invariant",
+                        "witness": [g.names[i], g.names[j], g.names[k]],
+                    }
+    if inv([list(r) for r in form.gram]) is None:
+        return {"pass": False, "check": "non-degenerate", "witness": None}
+    return {"pass": True, "witness": None}
+
+
+ORACLE_ALGEBRAS = [(1, 1), (2, 1), (1, 2), (2, 2)]
+PERTURBATIONS = 60
+
+
+def _perturbed_bracket(g, r, antisymmetric):
+    """g with one bracket coefficient [X_i, X_j]_k replaced by a random
+    scalar (zero included), k of the parity of the pair; the mirror entry
+    (j, i) follows by super-antisymmetry, or keeps its old value."""
+    n = g.dim
+    i, j = r.randrange(n), r.randrange(n)
+    if r.random() < 0.5 and g.bracket(i, j):
+        k = r.choice(sorted(g.bracket(i, j)))
+    else:
+        want = (g.parities[i] + g.parities[j]) % 2
+        k = r.choice([k for k in range(n) if g.parities[k] == want])
+    c = rand_scalar(r)
+    table = {key: dict(v) for key, v in g.table.items()}
+    table.setdefault((i, j), {})[k] = c
+    if antisymmetric:
+        sign = 1 if (g.parities[i] and g.parities[j]) else -1
+        table.setdefault((j, i), {})[k] = c * sign
+    return LieSuperalgebra(g.names, g.parities, table, validate=False)
+
+
+def _perturbed_gram(g, form, r):
+    """form with one Gram entry b(X_i, X_j) of an even pair replaced by a
+    random scalar, and b(X_j, X_i) set so the form stays supersymmetric."""
+    n = g.dim
+    while True:
+        i, j = r.randrange(n), r.randrange(n)
+        if g.parities[i] == g.parities[j] and not (i == j and g.parities[i]):
+            break
+    c = rand_scalar(r)
+    sign = -1 if (g.parities[i] and g.parities[j]) else 1
+    return _edited_form(form, {(i, j): c, (j, i): c * sign})
+
+
+def same_report(rep, want):
+    """Equal report dicts with equal key order: the CLI prints the defect
+    dict as it is built."""
+    return json.dumps(rep) == json.dumps(want)
+
+
+class TestTripleLoopOracles:
+    """check_jacobi and QuadraticForm.validate give the triple loops' report
+    dicts, witnesses included, on the builders and on seeded defects."""
+
+    @pytest.mark.parametrize("mn", ORACLE_ALGEBRAS)
+    def test_builders(self, mn):
+        g, form, _ = build_gl(*mn)
+        assert check_jacobi(g) == triple_loop_check_jacobi(g) == {
+            "pass": True, "witness": None, "checked": g.dim ** 3
+        }
+        assert form.validate(g) == triple_loop_validate(form, g) == {
+            "pass": True, "witness": None
+        }
+
+    @pytest.mark.parametrize("antisymmetric", [True, False])
+    def test_perturbed_bracket(self, antisymmetric):
+        builders = [build_gl(*mn) for mn in ORACLE_ALGEBRAS]
+        r = rng(1901 + antisymmetric)
+        failures = 0
+        for p in range(PERTURBATIONS):
+            g, form, _ = builders[p % len(builders)]
+            bad = _perturbed_bracket(g, r, antisymmetric)
+            rep = check_jacobi(bad)
+            assert same_report(rep, triple_loop_check_jacobi(bad))
+            assert same_report(form.validate(bad), triple_loop_validate(form, bad))
+            failures += not rep["pass"]
+        assert failures >= PERTURBATIONS // 2
+
+    def test_tables_without_antisymmetry(self):
+        # brackets only for i > j, as a file may give them: a check that
+        # skipped the pair (i, j) for (j, i) would miss the witnesses with
+        # i > j
+        r = rng(1905)
+        witnesses = []
+        for _ in range(PERTURBATIONS):
+            parities = [r.randrange(2) for _ in range(4)]
+            table = {}
+            for i in range(4):
+                for j in range(i):
+                    want = (parities[i] + parities[j]) % 2
+                    targets = [k for k in range(4) if parities[k] == want]
+                    if targets and r.random() < 0.5:
+                        table[(i, j)] = {r.choice(targets): rand_scalar(r)}
+            g = LieSuperalgebra(["A", "B", "C", "D"], parities, table, validate=False)
+            rep = check_jacobi(g)
+            assert same_report(rep, triple_loop_check_jacobi(g))
+            if rep["witness"]:
+                witnesses.append(rep["witness"]["indices"])
+        assert any(i > j for i, j, _ in witnesses)
+
+    def test_perturbed_gram(self):
+        builders = [build_gl(*mn) for mn in ORACLE_ALGEBRAS]
+        r = rng(1903)
+        checks = set()
+        for p in range(PERTURBATIONS):
+            g, form, _ = builders[p % len(builders)]
+            bad = _perturbed_gram(g, form, r)
+            rep = bad.validate(g)
+            assert same_report(rep, triple_loop_validate(bad, g))
+            checks.add(rep.get("check"))
+        assert "invariant" in checks
 
 
 class TestThetaDual:

@@ -422,24 +422,31 @@ class TestCasimir:
         assert not rep["pass"]
         assert rep["witness"]["generator"] == g.names[i21]
 
-    def test_is_central_matches_super_commutator(self, gl21):
-        # is_central takes the words of c once; each witness must still be
-        # the super commutator with its generator, odd parts included
-        g, form, _ = gl21
-        r = rng(23)
-        elements = [casimir2(g, form)] + [rand_pbw_element(g, r) for _ in range(30)]
-        for x in elements:
-            comms = [super_commutator(x, PBWElement.generator(g, i)) for i in range(g.dim)]
-            first = next((i for i, c in enumerate(comms) if not c.is_zero()), None)
-            rep = is_central(x, g)
-            if first is None:
-                assert rep == {"pass": True, "witness": None}
-            else:
-                assert rep["witness"] == {
-                    "generator": g.names[first],
-                    "index": first,
-                    "value": repr(comms[first]),
-                }
+    def test_is_central_matches_super_commutator(self):
+        # is_central brackets one letter at a time by the derivation rule;
+        # each witness must still be the super commutator with its
+        # generator, odd parts and Koszul tail signs included.  The m < n
+        # and m = n parity patterns are covered besides m > n.
+        for mn in [(2, 1), (1, 2), (2, 2)]:
+            g, form, _ = build_gl(*mn)
+            r = rng(23)
+            central = [casimir2(g, form), gelfand_invariant(g, 3)]
+            generators = [PBWElement.generator(g, i) for i in range(g.dim)]
+            # each generator times one of the central elements, in turn
+            elements = central + [z * x for z, x in zip(central * g.dim, generators)]
+            elements += [rand_pbw_element(g, r) for _ in range(30)]
+            for x in elements:
+                comms = [super_commutator(x, gen) for gen in generators]
+                first = next((i for i, c in enumerate(comms) if not c.is_zero()), None)
+                rep = is_central(x, g)
+                if first is None:
+                    assert rep == {"pass": True, "witness": None}
+                else:
+                    assert rep["witness"] == {
+                        "generator": g.names[first],
+                        "index": first,
+                        "value": repr(comms[first]),
+                    }
 
 
 class TestGelfand:
