@@ -6,7 +6,7 @@
 # Runs every perfbench workload at seed 1 for one second in each checkout;
 # a digest is the sha256 of a suite's JSON report without timing_ms.  Then
 # runs the larger CLI rungs below in each checkout and diffs their reports,
-# also without timing_ms.
+# also without timing_ms; the last five read a definition file.
 set -euo pipefail
 shopt -s inherit_errexit
 
@@ -28,6 +28,21 @@ RUNGS=(
   "check-jacobi --algebra gl:3,3"
   "jstruct-check --algebra gl:2,2"
   "complexify --algebra gl:2,2 --ideal 0"
+)
+
+# The --file rungs read one definition, the base checkout's gl(2|1) build,
+# through the same absolute path on both sides.
+definition=$(mktemp --suffix=.json)
+trap 'rm -f "$definition"' EXIT
+(cd "$1" && PYTHONPATH=src python3 -m superalg.cli build --algebra gl:2,1) \
+  | python3 -c 'import json, sys; json.dump(json.load(sys.stdin)["values"]["definition"], sys.stdout)' \
+  > "$definition"
+RUNGS+=(
+  "check-jacobi --file $definition"
+  "casimir --file $definition --kind casimir2 --check-central"
+  "hopf-check --file $definition --samples 30 --degree-cap 3 --seed 1"
+  "gamma-check --file $definition --points 10 --seed 1"
+  "radial --file $definition --points 3 --weights 12 --seed 1"
 )
 
 digests() {

@@ -94,6 +94,8 @@ class LieSuperalgebra:
     def from_json(cls, data: dict, validate=True) -> "LieSuperalgebra":
         try:
             gens = data["generators"]
+            if not gens:
+                raise ParseError("an algebra needs at least one generator")
             names = [g["name"] for g in gens]
             parities = [json_int(g["parity"]) for g in gens]
             n = len(names)

@@ -7,17 +7,19 @@ adjacent out-of-order generators via
 
     X Y = (-1)^{|X||Y|} Y X + [X, Y]
 
-until the word is sorted; the result is independent of the swap strategy,
-which the test suite exercises by running two different ones.
+until the word is sorted.  The rewriter always swaps the leftmost
+out-of-order pair; on a Lie superalgebra the normal form does not depend on
+that order, which the test suite checks against a word-at-a-time oracle
+that rewrites in both scan orders.
 
 normalize_terms merges equal words before it rewrites them.  A swap keeps
 a word's length and every bracket term is one generator shorter, so the
 pending words are kept in one sparse dict per length and the longest
 length goes first: each word is rewritten once, with its whole coefficient
-already summed, and words that cancel are never rewritten.  Under a fixed
-strategy the rewrite of a word is a fixed linear function of that word, so
-merging first gives exactly the dict that rewriting every word on its own
-and summing would give, for any bracket table (Jacobi or not) and any
+already summed, and words that cancel are never rewritten.  With the swap
+order fixed, the rewrite of a word is a fixed linear function of that word,
+so merging first gives exactly the dict that rewriting every word on its
+own and summing would give, for any bracket table (Jacobi or not) and any
 coefficient ring.
 
 Every sum accumulates into one sparse dict, through linalg.add_term or a
@@ -74,18 +76,10 @@ def monomial_degree(mon: Monomial) -> int:
     return sum(p for _, p in mon)
 
 
-STRATEGIES = ("leftmost", "rightmost")
-
-
-def normalize_terms(alg: LieSuperalgebra, items, strategy="leftmost") -> dict:
+def normalize_terms(alg: LieSuperalgebra, items) -> dict:
     """Rewrite (word, coeff) pairs to normal form; returns {monomial: coeff}.
 
-    strategy picks the out-of-order pair each step rewrites: the leftmost
-    or the rightmost one."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown rewrite strategy {strategy!r}")
-    leftmost = strategy == "leftmost"
-    step = 1 if leftmost else -1
+    Each step rewrites the leftmost out-of-order pair of a word."""
     parities = alg.parities
     bracket = alg.bracket
     by_length: dict = {}
@@ -105,16 +99,16 @@ def normalize_terms(alg: LieSuperalgebra, items, strategy="leftmost") -> dict:
         shorter = by_length.setdefault(n - 1, {})
         last = n - 2
         for word, coeff in words.items():
-            # follow the word's chain of swaps to its sorted end; a swap at
-            # k can only break the pair just before it (leftmost scan) or
-            # just after it (rightmost scan), so the scan resumes there
+            # follow the word's chain of swaps to its sorted end; the pairs
+            # left of k are in order, and a swap at k can only break the
+            # pair just before it, so the scan resumes there
             w = list(word)
             neg = False
-            k = 0 if leftmost else last
-            while 0 <= k <= last:
+            k = 0
+            while k <= last:
                 a, b = w[k], w[k + 1]
                 if a < b or (a == b and not parities[a]):
-                    k += step
+                    k += 1
                     continue
                 brk = bracket(a, b)
                 if brk:
@@ -128,7 +122,7 @@ def normalize_terms(alg: LieSuperalgebra, items, strategy="leftmost") -> dict:
                 w[k], w[k + 1] = b, a
                 if parities[a] and parities[b]:
                     neg = not neg
-                k = max(k - 1, 0) if leftmost else min(k + 1, last)
+                k = max(k - 1, 0)
             else:
                 add_term(done, tuple(w), -coeff if neg else coeff)
     out = {}
@@ -281,11 +275,11 @@ def _coeff_json(c):
     raise TypeError("only Q(i) coefficients serialize to JSON")
 
 
-def pbw_normalize(alg: LieSuperalgebra, word, coeff=ONE, strategy="leftmost") -> PBWElement:
+def pbw_normalize(alg: LieSuperalgebra, word, coeff=ONE) -> PBWElement:
     """Normal form of a single generator word with coefficient."""
     if isinstance(coeff, (int, Fraction)):
         coeff = gr(coeff)
-    return PBWElement(alg, normalize_terms(alg, [(tuple(word), coeff)], strategy))
+    return PBWElement(alg, normalize_terms(alg, [(tuple(word), coeff)]))
 
 
 def multiply(x: PBWElement, y: PBWElement) -> PBWElement:
@@ -305,21 +299,17 @@ def _words(x: PBWElement) -> list:
     return [(word_of(m), c, monomial_parity(m, parities)) for m, c in x.terms.items()]
 
 
-def _commutator(alg: LieSuperalgebra, left: list, right: list) -> PBWElement:
-    """Super commutator of two _words lists: both words of every term pair
-    go into one normalize_terms call."""
+def super_commutator(x: PBWElement, y: PBWElement) -> PBWElement:
+    """[x, y] = xy - (-1)^{|x||y|} yx, taken termwise on monomial parities;
+    both words of every term pair go into one normalize_terms call."""
+    right = _words(y)
     items = []
-    for w1, c1, p1 in left:
+    for w1, c1, p1 in _words(x):
         for w2, c2, p2 in right:
             c = c1 * c2
             items.append((w1 + w2, c))
             items.append((w2 + w1, c if (p1 and p2) else -c))
-    return PBWElement(alg, normalize_terms(alg, items))
-
-
-def super_commutator(x: PBWElement, y: PBWElement) -> PBWElement:
-    """[x, y] = xy - (-1)^{|x||y|} yx, taken termwise on monomial parities."""
-    return _commutator(x.alg, _words(x), _words(y))
+    return PBWElement(x.alg, normalize_terms(x.alg, items))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 from .errors import DegenerateForm, NotEigenfunction, SingularOddBlock
@@ -222,42 +223,23 @@ def apply_radial_C2(op: RadialOperator, f: TorusRational) -> TorusRational:
 
 
 def default_weights(t: int, count: int):
-    """Deterministic integer weight vectors whose leading block is
-    unisolvent for degree-2 polynomial interpolation in t variables:
-    the origin, e_i, 2 e_i, and e_i + e_j, followed by sign and scale
-    variations as extras."""
-
-    def unit(i, scale=1):
-        w = [0] * t
-        w[i] = scale
-        return tuple(w)
-
-    out = [(0,) * t]
-    out += [unit(i) for i in range(t)]
-    out += [unit(i, 2) for i in range(t)]
-    for i in range(t):
-        for j in range(i + 1, t):
-            w = [0] * t
-            w[i] = w[j] = 1
-            out.append(tuple(w))
-    extras = [unit(i, -1) for i in range(t)] + [unit(i, 3) for i in range(t)]
-    for i in range(t):
-        for j in range(i + 1, t):
-            w = [0] * t
-            w[i], w[j] = 1, -1
-            extras.append(tuple(w))
-        for j in range(i + 1, t):
-            w = [0] * t
-            w[i], w[j] = 2, 1
-            extras.append(tuple(w))
-    scale = 2
-    while len(out) + len(extras) < count:
-        extras += [unit(i, 2 * scale) for i in range(t)]
-        scale += 1
-    for w in extras:
-        if w not in out:
-            out.append(w)
-    return out[:count]
+    """The first count of a deterministic run of distinct integer weight
+    vectors in t variables.  The run starts with the exponents of degree
+    <= 2 (the origin, e_i, 2 e_i and e_i + e_j, in _quadratic_exponents
+    order), which are unisolvent for degree-2 polynomial interpolation;
+    the extras walk the cubes [-r, r]^t for r = 1, 2, ... in
+    itertools.product order, skipping weights already taken."""
+    out = _quadratic_exponents(t)[:count]
+    taken = set(out)
+    # for t >= 1 the cube [-count, count]^t alone holds more than count weights
+    for r in range(1, count + 1):
+        for w in product(range(-r, r + 1), repeat=t):
+            if len(out) == count:
+                return out
+            if w not in taken:
+                taken.add(w)
+                out.append(w)
+    return out
 
 
 def weights_needed(t: int) -> int:

@@ -617,6 +617,16 @@ class TestInputBoundary:
             (["jstruct-check"], "J-entry-pair-true", "malformed definition: expected an integer, got True"),
             (["jstruct-check"], "J-entry-quad-true", "malformed definition: expected an integer, got True"),
             (["jstruct-check"], "J-entry-pairs-true", "malformed definition: expected an integer, got True"),
+            # with no generators, hopf-check, gamma-check and radial once
+            # died with a traceback, and the rest passed having checked nothing
+            (["build"], "no-generators", "at least one generator"),
+            (["check-jacobi"], "no-generators", "at least one generator"),
+            (["casimir"], "no-generators", "at least one generator"),
+            (["hopf-check"], "no-generators", "at least one generator"),
+            (["gamma-check"], "no-generators", "at least one generator"),
+            (["radial"], "no-generators", "at least one generator"),
+            (["jstruct-check"], "no-generators", "at least one generator"),
+            (["complexify"], "no-generators", "at least one generator"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -633,6 +643,13 @@ class TestInputBoundary:
             data = dump_definition(real, j_matrix=j.matrix)
         elif definition == "non-jacobi":
             data = non_jacobi_gl11()
+        elif definition == "no-generators":
+            data = {
+                "generators": [],
+                "brackets": [],
+                "form": [],
+                "root_system": {"cartan": [], "roots": [], "positives": []},
+            }
         else:
             data = dump_definition(g, form, rs)
         if definition == "odd-weights-zero":  # Ad is 1 on every odd root

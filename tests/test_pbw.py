@@ -10,9 +10,7 @@ from superalg.liealg import (
     check_jacobi,
     theta_dual,
 )
-from superalg.linalg import add_term
 from superalg.pbw import (
-    STRATEGIES,
     PBWElement,
     casimir2,
     cartan_poly_eval,
@@ -37,46 +35,9 @@ from superalg.scalars import gr, ONE, ZERO
 
 HALF = Fraction(1, 2)
 
-
-# The word-at-a-time rewriter that normalize_terms replaced, kept verbatim
-# as the oracle: every word is rewritten on its own from a stack, and the
-# scan restarts at the word's start after every swap.
-
-
-def _find_violation(word, parities, strategy):
-    rng = range(len(word) - 1)
-    if strategy == "rightmost":
-        rng = reversed(rng)
-    for k in rng:
-        a, b = word[k], word[k + 1]
-        if a > b or (a == b and parities[a]):
-            return k
-    return -1
-
-
-def stack_normalize_terms(alg: LieSuperalgebra, items, strategy="leftmost") -> dict:
-    """Rewrite (word, coeff) pairs to normal form; returns {monomial: coeff}."""
-    parities = alg.parities
-    out: dict = {}
-    stack = [(tuple(w), c) for w, c in items]
-    while stack:
-        word, coeff = stack.pop()
-        k = _find_violation(word, parities, strategy)
-        if k < 0:
-            add_term(out, monomial_of_sorted_word(word, parities), coeff)
-            continue
-        a, b = word[k], word[k + 1]
-        head, tail = word[:k], word[k + 2 :]
-        if a == b:
-            # odd square: xx = [x,x]/2
-            for g2, c2 in alg.bracket(a, a).items():
-                stack.append((head + (g2,) + tail, coeff * c2 * HALF))
-        else:
-            sign = -1 if (parities[a] and parities[b]) else 1
-            stack.append((head + (b, a) + tail, coeff * sign))
-            for g2, c2 in alg.bracket(a, b).items():
-                stack.append((head + (g2,) + tail, coeff * c2))
-    return out
+# the oracle's scan orders: it rewrites the leftmost or the rightmost
+# out-of-order pair of a word
+ORDERS = ("leftmost", "rightmost")
 
 
 def odd_square_algebra():
@@ -89,7 +50,7 @@ def odd_square_algebra():
 def jacobi_broken_gl11():
     """gl(1|1) with [E11, E12] = -[E12, E11] scaled by 2: super-antisymmetric,
     but not a Lie superalgebra, so the rewrite result depends on the
-    strategy.  ([E12, E21] = E11 + E22 is central, so scaling that pair
+    scan order.  ([E12, E21] = E11 + E22 is central, so scaling that pair
     would only rescale a basis vector and keep Jacobi.)"""
     g, _, _ = build_gl(1, 1)
     i11, i12 = g.names.index("E11"), g.names.index("E12")
@@ -137,50 +98,51 @@ class TestNormalize:
         i12 = g.names.index("E12")
         assert pbw_normalize(g, (i12, i12)).is_zero()
 
-    def test_confluence_two_strategies(self, gl21):
-        # normalization result must not depend on the reduction order
+    def test_confluence_two_strategies(self, gl21, stack_normalize_terms):
+        # normalization result must not depend on the reduction order: the
+        # leftmost-first rewriter agrees with the oracle's rightmost order
         g, _, _ = gl21
         r = rng(1234)
         for _ in range(200):
             w = rand_word(r, g.dim, max_len=5)
-            a = normalize_terms(g, [(w, ONE)], "leftmost")
-            b = normalize_terms(g, [(w, ONE)], "rightmost")
+            a = normalize_terms(g, [(w, ONE)])
+            b = stack_normalize_terms(g, [(w, ONE)], "rightmost")
             assert a == b, w
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_edge_items(self, gl11, strategy):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_edge_items(self, gl11, order, stack_normalize_terms):
         g, _, _ = gl11
         i12, i21 = g.names.index("E12"), g.names.index("E21")
         c = gr(3, -1)
-        assert normalize_terms(g, [], strategy) == {}
-        assert normalize_terms(g, [((), c)], strategy) == {(): c}
-        assert normalize_terms(g, [((i21,), c)], strategy) == {((i21, 1),): c}
         cancel = [((i12, i21), c), ((i21, i12), c), ((i12, i21), -c), ((i21, i12), -c)]
-        assert normalize_terms(g, cancel, strategy) == {}
         # E12 E21 + E21 E12 = [E12, E21]: the sorted words cancel after the
         # swap, and only the bracket survives
-        merged = normalize_terms(g, [((i12, i21), c), ((i21, i12), c)], strategy)
-        assert merged == {((k, 1),): c for k in g.bracket(i12, i21)}
+        merged = [((i12, i21), c), ((i21, i12), c)]
+        cases = [
+            ([], {}),
+            ([((), c)], {(): c}),
+            ([((i21,), c)], {((i21, 1),): c}),
+            (cancel, {}),
+            (merged, {((k, 1),): c for k in g.bracket(i12, i21)}),
+        ]
+        for items, want in cases:
+            assert normalize_terms(g, items) == want, items
+            assert stack_normalize_terms(g, items, order) == want, items
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_odd_square_mid_word(self, strategy):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_odd_square_mid_word(self, order, stack_normalize_terms):
         g = odd_square_algebra()
         z, x, w = 0, 1, 2
         # Z X X W = Z [X, X]/2 W = Z^2 W / 2
-        got = normalize_terms(g, [((z, x, x, w), ONE)], strategy)
-        assert got == {((z, 2), (w, 1)): gr(HALF)}
+        items = [((z, x, x, w), ONE)]
+        want = {((z, 2), (w, 1)): gr(HALF)}
+        assert normalize_terms(g, items) == want
+        assert stack_normalize_terms(g, items, order) == want
         # W X X Z: W and Z pass the square before or after it is rewritten
-        got = normalize_terms(g, [((w, x, x, z), gr(4))], strategy)
-        assert got == {((z, 2), (w, 1)): gr(2)}
-
-    def test_unknown_strategy_raises(self, gl11):
-        g, _, _ = gl11
-        with pytest.raises(ValueError, match="strategy"):
-            normalize_terms(g, [((0, 1), ONE)], "middle")
-        with pytest.raises(ValueError, match="strategy"):
-            normalize_terms(g, [], "Leftmost")
-        with pytest.raises(ValueError, match="strategy"):
-            pbw_normalize(g, (0, 1), strategy="rightmost-first")
+        items = [((w, x, x, z), gr(4))]
+        want = {((z, 2), (w, 1)): gr(2)}
+        assert normalize_terms(g, items) == want
+        assert stack_normalize_terms(g, items, order) == want
 
     def test_normalize_of_concat_is_product(self, gl11):
         g, _, _ = gl11
@@ -197,31 +159,33 @@ class TestRewriteOracle:
     """normalize_terms merges equal words before rewriting; the result must
     be exactly the sum of the word-at-a-time rewrites."""
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    # On a Lie superalgebra the rewriter must match the oracle in either
+    # scan order: the leftmost run checks the merging, and the rightmost run
+    # checks confluence as well.
+
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (2, 2)])
-    def test_random_item_lists(self, mn, strategy):
+    def test_random_item_lists(self, mn, order, stack_normalize_terms):
         g, _, _ = build_gl(*mn)
         r = rng(4100 + 10 * mn[0] + mn[1])
         nonzero = 0
         for _ in range(40):
             items = merged_items(r, g.dim, r.randint(2, 12), 5, rand_scalar)
-            want = stack_normalize_terms(g, items, strategy)
-            assert normalize_terms(g, items, strategy) == want, items
+            want = stack_normalize_terms(g, items, order)
+            assert normalize_terms(g, items) == want, items
             nonzero += bool(want)
         assert nonzero >= 30
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_odd_square_algebra(self, strategy):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_odd_square_algebra(self, order, stack_normalize_terms):
         g = odd_square_algebra()
         r = rng(4200)
         for _ in range(60):
             items = merged_items(r, g.dim, r.randint(1, 8), 6, rand_scalar)
-            assert normalize_terms(g, items, strategy) == stack_normalize_terms(
-                g, items, strategy
-            ), items
+            assert normalize_terms(g, items) == stack_normalize_terms(g, items, order), items
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_torus_coefficients(self, gl11, strategy):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_torus_coefficients(self, gl11, order, stack_normalize_terms):
         g, _, _ = gl11
 
         def coeff(r):
@@ -230,25 +194,22 @@ class TestRewriteOracle:
         r = rng(4300)
         for _ in range(4):
             items = merged_items(r, g.dim, 4, 3, coeff)
-            assert normalize_terms(g, items, strategy) == stack_normalize_terms(
-                g, items, strategy
-            ), items
+            assert normalize_terms(g, items) == stack_normalize_terms(g, items, order), items
 
-    def test_table_without_jacobi(self):
-        # Without Jacobi the two strategies give different results, but
-        # under each strategy a word still has one fixed rewrite, so merging
-        # words first must still agree with the old rewrite tree.
+    def test_table_without_jacobi(self, stack_normalize_terms):
+        # Without Jacobi the two scan orders give different results, but a
+        # word still has one fixed leftmost-first rewrite, so merging words
+        # first must still agree with the old rewrite tree.
         g = jacobi_broken_gl11()
         assert not check_jacobi(g)["pass"]
         r = rng(4400)
-        strategies_differ = 0
+        orders_differ = 0
         for _ in range(60):
             items = merged_items(r, g.dim, r.randint(2, 10), 5, rand_scalar)
-            got = {s: normalize_terms(g, items, s) for s in STRATEGIES}
-            for s in STRATEGIES:
-                assert got[s] == stack_normalize_terms(g, items, s), (s, items)
-            strategies_differ += got["leftmost"] != got["rightmost"]
-        assert strategies_differ >= 3
+            left = stack_normalize_terms(g, items, "leftmost")
+            assert normalize_terms(g, items) == left, items
+            orders_differ += left != stack_normalize_terms(g, items, "rightmost")
+        assert orders_differ >= 3
 
 
 class TestMultiply:

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from superalg.errors import NotEigenfunction, SingularOddBlock
 from superalg.liealg import Root, RootSystem, build_gl
+from superalg.linalg import rref
 from superalg.pbw import cartan_poly_eval
 from superalg.radial import (
     RadialOperator,
     TorusLaplacian,
+    _quadratic_exponents,
     apply_radial_C2,
     build_radial,
     check_gamma_oracle,
@@ -16,6 +19,7 @@ from superalg.radial import (
     gamma_closed_form,
     leading_term_match,
     leading_term_reference,
+    weights_needed,
 )
 from superalg.sampling import rand_torus_coords, rng
 from superalg.scalars import gr, I, ONE
@@ -365,6 +369,13 @@ class TestExtractP:
             need = (t + 1) * (t + 2) // 2
             ws = default_weights(t, need + 4)
             assert len(set(ws)) == need + 4
+        # the leading weights_needed(t) weights alone determine a degree-2
+        # polynomial: full rank against the degree <= 2 monomials
+        for t in range(1, 7):
+            exps = _quadratic_exponents(t)
+            ws = default_weights(t, weights_needed(t))
+            rows = [[gr(prod(x**k for x, k in zip(w, e))) for e in exps] for w in ws]
+            assert len(rref(rows)[1]) == len(exps) == weights_needed(t), t
 
     def test_underdetermined_weights_rejected(self, gl11):
         g, form, rs = gl11
