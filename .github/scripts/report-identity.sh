@@ -6,7 +6,7 @@
 # Runs every perfbench workload at seed 1 for one second in each checkout;
 # a digest is the sha256 of a suite's JSON report without timing_ms.  Then
 # runs the larger CLI rungs below in each checkout and diffs their reports,
-# also without timing_ms; the last five read a definition file.
+# also without timing_ms; the last eight read a definition file.
 set -euo pipefail
 shopt -s inherit_errexit
 
@@ -43,6 +43,9 @@ RUNGS+=(
   "hopf-check --file $definition --samples 30 --degree-cap 3 --seed 1"
   "gamma-check --file $definition --points 10 --seed 1"
   "radial --file $definition --points 3 --weights 12 --seed 1"
+  "build --file $definition"
+  "jstruct-check --file $definition"
+  "complexify --file $definition"
 )
 
 digests() {

@@ -27,7 +27,6 @@ from .errors import (
     NotAnIdeal,
     NotEigenfunction,
     ParseError,
-    SingularPoint,
     SuperalgError,
     UnsupportedAlgebra,
 )
@@ -56,9 +55,8 @@ from .radial import (
     leading_term_match,
     weights_needed,
 )
-from .sampling import rand_torus_coords, rng
-from .smash import SmashAlgebra, TorusElement, check_hopf_axioms
-from .scalars import ONE
+from .sampling import regular_points
+from .smash import SmashAlgebra, check_hopf_axioms
 
 
 @dataclass
@@ -80,8 +78,13 @@ class RunConfig:
     output: str | None = None
 
 
-def _load_algebra(config: RunConfig, need_roots=False, need_form=False, need_lie=False):
+def _load_algebra(
+    config: RunConfig, need_roots=False, need_form=False, need_lie=False, validate=True
+):
     """Resolve --algebra gl:m,n or --file path into algebra objects.
+
+    validate=False loads a file without the structure and eigen-equation
+    checks: build reports both as rows, and check-jacobi the first.
 
     need_lie is for the suites that take a file's bracket table as a Lie
     superalgebra without checking it: the table must satisfy super Jacobi
@@ -89,7 +92,7 @@ def _load_algebra(config: RunConfig, need_roots=False, need_form=False, need_lie
     QuadraticForm.validate (DegenerateForm otherwise); both exit 2.  build,
     check-jacobi and complexify report these as failing checks instead."""
     if config.file:
-        loaded = load_definition(_read_text(config.file))
+        loaded = load_definition(_read_text(config.file), validate)
         g = loaded["algebra"]
         form = loaded.get("form")
         rs = loaded.get("root_system")
@@ -140,38 +143,13 @@ def _algebra_label(config: RunConfig) -> str:
     return config.file if config.file else (config.algebra or "gl:1,1")
 
 
-def _sample_points(rs, count: int, seed: int):
-    """Random torus points with every odd root eigenvalue different from 1."""
-    from .liealg import ad_eigenvalue
-
-    r = rng(seed)
-    points = []
-    guard = 0
-    while len(points) < count:
-        guard += 1
-        if guard > 200 * count:
-            raise SingularPoint(
-                f"no regular torus point in {200 * count} draws: each had "
-                "an odd root with Ad eigenvalue 1"
-            )
-        coords = rand_torus_coords(r, rs.rank)
-        ok = True
-        for root in rs.odd_roots:
-            if ad_eigenvalue(rs, coords, root.index) == ONE:
-                ok = False
-                break
-        if ok:
-            points.append(TorusElement(coords))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # command implementations, each returning a list of result rows
 # ---------------------------------------------------------------------------
 
 
 def _cmd_build(config: RunConfig):
-    g, form, rs, _ = _load_algebra(config)
+    g, form, rs, _ = _load_algebra(config, validate=False)
     results = [
         {"check": "structure", **_strip(check_structure(g))},
         {"check": "jacobi", **_strip(check_jacobi(g))},
@@ -185,16 +163,7 @@ def _cmd_build(config: RunConfig):
 
 
 def _cmd_check_jacobi(config: RunConfig):
-    if config.file:
-        try:
-            data = json.loads(_read_text(config.file))
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        g = LieSuperalgebra.from_json(data, validate=False)
-    else:
-        g, _, _, _ = _load_algebra(config)
+    g, _, _, _ = _load_algebra(config, validate=False)
     results = [
         {"check": "structure", **_strip(check_structure(g))},
         {"check": "jacobi", **_strip(check_jacobi(g))},
@@ -270,7 +239,7 @@ def _gamma_row(rep: dict) -> dict:
 
 def _cmd_gamma(config: RunConfig):
     g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True, need_lie=True)
-    points = _sample_points(rs, config.points, config.seed)
+    points = regular_points(rs, config.points, config.seed)
     rep = check_gamma_oracle(rs, form, points)
     results = [_gamma_row(rep)]
     values = {
@@ -287,7 +256,7 @@ def _cmd_radial(config: RunConfig):
     need = weights_needed(rs.rank)
     if config.weights < need:
         raise ParseError(f"--weights must be at least {need} for torus rank {rs.rank}")
-    points = _sample_points(rs, config.points, config.seed)
+    points = regular_points(rs, config.points, config.seed)
     gamma_rep = check_gamma_oracle(rs, form, points)
     results = [_gamma_row(gamma_rep)]
     values = {

@@ -74,13 +74,20 @@ class LieSuperalgebra:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        """Generators and brackets.  An entry (i, j) with i > j is left out
+        when super-antisymmetry fills it in from (j, i) on loading.  A table
+        that breaks super-antisymmetry, which build loads unchecked, keeps
+        every other entry, an empty one included, so it loads back as the
+        same table."""
         brackets = []
-        for (i, j) in sorted(self.table):
-            if i > j:
-                continue  # the (j,i) entry is determined by antisymmetry
+        for (i, j) in sorted(set(self.table) | {(j, i) for i, j in self.table}):
+            vec = self.bracket(i, j)
+            sign = 1 if (self.parities[i] and self.parities[j]) else -1
+            if i > j and vec == {k: c * sign for k, c in self.bracket(j, i).items()}:
+                continue
             entry = [
                 [list(_frac_json(c.re)), list(_frac_json(c.im)), k]
-                for k, c in sorted(self.table[(i, j)].items())
+                for k, c in sorted(vec.items())
             ]
             brackets.append({"i": i, "j": j, "result": entry})
         return {
@@ -513,10 +520,12 @@ def dump_definition(g: LieSuperalgebra, form=None, rs=None, j_matrix=None) -> di
     return data
 
 
-def load_definition(text_or_dict):
+def load_definition(text_or_dict, validate=True):
     """Parse an algebra definition; returns dict with keys
     algebra, form (optional), root_system (optional), J (optional).
-    Malformed input of any kind raises ParseError."""
+    Malformed input of any kind raises ParseError.  validate=False skips
+    the two checks that build reports as rows instead: check_structure on
+    the bracket table and the eigen-equations of the root system."""
     if isinstance(text_or_dict, str):
         try:
             data = json.loads(text_or_dict)
@@ -526,7 +535,7 @@ def load_definition(text_or_dict):
         data = text_or_dict
     if not isinstance(data, dict):
         raise ParseError("a definition is a JSON object")
-    g = LieSuperalgebra.from_json(data)
+    g = LieSuperalgebra.from_json(data, validate=validate)
     out = {"algebra": g}
     try:
         if "form" in data:
@@ -535,7 +544,7 @@ def load_definition(text_or_dict):
                 raise ValueError(f"form must be {g.dim} x {g.dim}")
         if "root_system" in data:
             out["root_system"] = RootSystem.from_json(data["root_system"])
-            _check_root_system(out["root_system"], g)
+            _check_root_system(out["root_system"], g, validate)
         if "J" in data:
             out["J"] = [[GaussianRational.from_json(c) for c in row] for row in data["J"]]
             if len(out["J"]) != g.dim or any(len(row) != g.dim for row in out["J"]):
@@ -545,12 +554,13 @@ def load_definition(text_or_dict):
     return out
 
 
-def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
+def _check_root_system(rs: RootSystem, g: LieSuperalgebra, validate=True) -> None:
     """The Cartan (even) and root-vector indices split the basis with its
     parities, roots come in +/- pairs of one parity, positives holds exactly
     one root of each pair and no root twice, every weight satisfies
-    the eigen-equations, every bracket [X, Y] lies in weight w_X + w_Y, and
-    no weight entry exceeds MAX_ROOT_WEIGHT in absolute value; else ValueError."""
+    the eigen-equations (skipped when validate is False), no weight entry
+    exceeds MAX_ROOT_WEIGHT in absolute value, and every bracket [X, Y]
+    lies in weight w_X + w_Y; else ValueError."""
     parities = {h: EVEN for h in rs.cartan}
     parities.update((r.index, r.parity) for r in rs.roots)
     if len(rs.cartan) + len(rs.roots) != g.dim or parities != dict(enumerate(g.parities)):
@@ -564,10 +574,13 @@ def _check_root_system(rs: RootSystem, g: LieSuperalgebra) -> None:
                 f"root_system: positives must hold exactly one of {g.names[r.index]} "
                 "and its opposite"
             )
-    eigen = rs.validate(g)
-    if not eigen["pass"]:
-        h, x = eigen["witness"]
-        raise ValueError(f"root_system: weight of {x} contradicts the bracket [{h}, {x}]")
+    if validate:
+        eigen = rs.validate(g)
+        if not eigen["pass"]:
+            h, x = eigen["witness"]
+            raise ValueError(
+                f"root_system: weight of {x} contradicts the bracket [{h}, {x}]"
+            )
     for r in rs.roots:
         if any(abs(w) > MAX_ROOT_WEIGHT for w in r.weight):
             raise ValueError(

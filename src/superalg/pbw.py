@@ -23,11 +23,12 @@ own and summing would give, for any bracket table (Jacobi or not) and any
 coefficient ring.
 
 Every sum accumulates into one sparse dict, through linalg.add_term or a
-single normalize_terms call over all the words it needs, and becomes an
-element once, at the end; no loop rebuilds an element per term.  The
-words are only those the identity needs: is_central feeds the derivation
-rule's words, one letter bracketed with the generator, not the two
-products c X and X c whose terms mostly cancel.
+single normalize_terms call over all the words it needs, and becomes a
+PBWElement, a linalg.SparseSum, once, at the end; no loop rebuilds an
+element per term.  The words are only those the identity needs:
+is_central feeds the derivation rule's words, one letter bracketed with
+the generator, not the two products c X and X c whose terms mostly
+cancel.
 
 Coefficients are Q(i) scalars in ordinary use; any commutative ring object
 with the same operator surface (torus functions in particular) works too.
@@ -39,7 +40,7 @@ from fractions import Fraction
 from itertools import product
 
 from .liealg import LieSuperalgebra, QuadraticForm, RootSystem, theta_dual
-from .linalg import add_term
+from .linalg import SparseSum, add_term
 from .scalars import GaussianRational, ONE, ZERO, gr
 
 Monomial = tuple  # ((gen, power), ...)
@@ -131,25 +132,27 @@ def normalize_terms(alg: LieSuperalgebra, items) -> dict:
     return out
 
 
-class PBWElement:
-    """Element of the enveloping algebra in normal form."""
+def monomial_label(names, mon: Monomial) -> str:
+    """A monomial as text, e.g. E12*E21^2; "" for the empty monomial."""
+    return "*".join(f"{names[g]}^{p}" if p > 1 else names[g] for g, p in mon)
 
-    __slots__ = ("alg", "terms")
+
+class PBWElement(SparseSum):
+    """Element of the enveloping algebra in normal form.  Elements of two
+    algebra objects are never equal, and adding them raises ValueError."""
+
+    __slots__ = ("alg",)
+    _context = _same = ("alg",)
+    _mixed = "elements of different algebras"
 
     def __init__(self, alg: LieSuperalgebra, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for mon, c in terms.items():
-                if not c.is_zero():
-                    clean[tuple(mon)] = c
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", clean)
+        super().__init__((alg,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PBWElement is immutable")
+    def _key(self, mon):
+        return tuple(mon)
 
-    def __reduce__(self):
-        return PBWElement, (self.alg, self.terms)
+    def _constant(self, s):
+        return PBWElement.unit(self.alg, s)
 
     # -- constructors ------------------------------------------------------
 
@@ -163,9 +166,6 @@ class PBWElement:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((monomial_degree(m) for m in self.terms), default=0)
 
@@ -177,65 +177,10 @@ class PBWElement:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce_scalar(self, other):
-        if isinstance(other, (int, Fraction)):
-            return gr(other)
-        if isinstance(other, GaussianRational):
-            return other
-        return None
-
-    def __add__(self, other):
-        if isinstance(other, PBWElement):
-            if other.alg is not self.alg:
-                raise ValueError("elements of different algebras")
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                add_term(out, m, c)
-            return PBWElement(self.alg, out)
-        s = self._coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self + PBWElement.unit(self.alg, s)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PBWElement(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, PBWElement):
-            return self + (-other)
-        s = self._coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self + PBWElement.unit(self.alg, -s)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, PBWElement):
             return multiply(self, other)
-        s = self._coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        if s.is_zero():
-            return PBWElement(self.alg, {})
-        return PBWElement(self.alg, {m: c * s for m, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        s = self._coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self * s
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return super().__mul__(other)
 
     def __repr__(self):
         if not self.terms:
@@ -243,11 +188,8 @@ class PBWElement:
         names = self.alg.names
         bits = []
         for mon in sorted(self.terms):
-            c = self.terms[mon]
-            word = "*".join(
-                f"{names[g]}^{p}" if p > 1 else names[g] for g, p in mon
-            )
-            bits.append(f"({c})" + (f"*{word}" if word else ""))
+            word = monomial_label(names, mon)
+            bits.append(f"({self.terms[mon]})" + (f"*{word}" if word else ""))
         return " + ".join(bits)
 
     def to_json(self) -> list:

@@ -47,7 +47,7 @@ from .liealg import QuadraticForm, RootSystem
 from .linalg import rref
 from .pbw import cartan_poly_eval, casimir2, project_to_cartan
 from .scalars import GaussianRational, I, ZERO, gr
-from .smash import TorusElement, check_frame, gamma_via_sdet
+from .smash import check_frame, gamma_via_sdet
 from .torus import LaurentPoly, TorusRational, sinh_half, sqrt_scalar_free
 
 
@@ -93,8 +93,7 @@ def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
     gamma = gamma_closed_form(rs)
     sign = (-1) ** len(rs.odd_positives)
     entries = []
-    for a in points:
-        point = a if isinstance(a, TorusElement) else TorusElement(tuple(a))
+    for point in points:
         den_val = gamma.den.eval(point.coords)
         closed_singular = den_val.is_zero()
         try:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import GaussianRational, from_parts, gr
+from .errors import SingularPoint
+from .liealg import ad_eigenvalue
+from .scalars import GaussianRational, ONE, from_parts, gr
 from .torus import LaurentPoly, TorusRational
 
 # small nonzero values used for torus coordinates; chosen so products and
@@ -49,6 +51,28 @@ def rand_scalar(r: random.Random, complex_prob: float = 0.5) -> GaussianRational
 
 def rand_torus_coords(r: random.Random, t: int):
     return tuple(r.choice(_COORD_SCALARS) for _ in range(t))
+
+
+def regular_points(rs, count: int, seed: int) -> list:
+    """count torus points drawn from random.Random(seed), each with every
+    odd root's Ad eigenvalue different from 1; a draw that fails is
+    skipped.  SingularPoint after 200 draws per point asked for."""
+    from .smash import TorusElement
+
+    r = rng(seed)
+    points = []
+    guard = 0
+    while len(points) < count:
+        guard += 1
+        if guard > 200 * count:
+            raise SingularPoint(
+                f"no regular torus point in {200 * count} draws: each had "
+                "an odd root with Ad eigenvalue 1"
+            )
+        coords = rand_torus_coords(r, rs.rank)
+        if all(ad_eigenvalue(rs, coords, root.index) != ONE for root in rs.odd_roots):
+            points.append(TorusElement(coords))
+    return points
 
 
 def rand_laurent(

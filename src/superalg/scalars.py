@@ -292,6 +292,16 @@ def gr(re: Rat = 0, im: Rat = 0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
+def as_scalar(x) -> GaussianRational | None:
+    """x as a Q(i) value when it is an int, a Fraction or one already;
+    None for anything else."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
+    return None
+
+
 def from_parts(a: int, b: int, d: int = 1) -> GaussianRational:
     """The value (a + b*i)/d from integers, d > 0; reduced here."""
     if d <= 0:

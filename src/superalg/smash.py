@@ -44,29 +44,30 @@ monomial is empty.
 The antipode axioms m (Id x s) Delta(u) and m (s x Id) Delta(u) need the
 same antipodes: Delta(a # m) splits m into complementary sub-monomials at
 the one point a, so the left legs and the right legs of Delta(u) form one
-set.  _antipode_convolutions takes s once per distinct leg and computes
-both sides from it.
+set.  _antipode_convolutions builds the one-term element of each distinct
+leg and its antipode once, and computes both sides from them.
 
-Sums of elements (the coproduct, the antipode convolutions) accumulate
-into one dict with linalg.add_term and wrap it in an element once.  The
-layer's own results are wrapped unchecked, by _element and _tensor:
-add_term drops every zero sum and normalize_terms returns no zero
-coefficient, so the dicts they build hold nothing that the checks of the
-public SmashElement and TensorElement constructors would remove.
+SmashElement and TensorElement are linalg.SparseSum subclasses.  Sums of
+elements (the coproduct, the antipode convolutions) accumulate into one
+dict with linalg.add_term and wrap it in an element once.  The layer's own
+results are wrapped unchecked, by linalg.wrap_terms: add_term drops every
+zero sum and normalize_terms returns no zero coefficient, so the dicts
+they build hold nothing that the checks of the public constructors would
+remove.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from fractions import Fraction
 from math import comb
 
 from .errors import DegenerateForm, DegreeTooHigh, ZeroTorusCoordinate
 from .liealg import LieSuperalgebra, QuadraticForm, RootSystem, ad_eigenvalue
-from .linalg import add_term, inv, mat_mul
+from .linalg import SparseSum, add_term, inv, mat_mul, wrap_terms
 from .pbw import (
     Monomial,
     monomial_degree,
+    monomial_label,
     monomial_parity,
     normalize_terms,
     word_of,
@@ -235,69 +236,25 @@ class SmashAlgebra:
         return val
 
 
-class SmashElement:
-    """Finite Q(i)-combination of torus-point # PBW-monomial tensors."""
+class SmashElement(SparseSum):
+    """Finite Q(i)-combination of torus-point # PBW-monomial tensors.
+    Equality reads the terms alone, so it holds across a pickled
+    SmashAlgebra."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
+    _context = ("alg",)
 
     def __init__(self, alg: SmashAlgebra, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for (a, mon), c in terms.items():
-                if not c.is_zero():
-                    clean[(a, tuple(mon))] = c
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", clean)
+        super().__init__((alg,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SmashElement is immutable")
-
-    def __reduce__(self):
-        return SmashElement, (self.alg, self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return SmashElement(self.alg, out)
-
-    def __neg__(self):
-        return SmashElement(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, s) -> "SmashElement":
-        if isinstance(s, (int, Fraction)):
-            s = gr(s)
-        return SmashElement(self.alg, {k: c * s for k, c in self.terms.items()})
+    def _key(self, key):
+        a, mon = key
+        return a, tuple(mon)
 
     def __mul__(self, other):
         if isinstance(other, SmashElement):
             return smash_multiply(self, other)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return super().__mul__(other)
 
     def __repr__(self):
         if not self.terms:
@@ -311,22 +268,7 @@ class SmashElement:
 
 def _term_label(names, a: TorusElement, mon) -> str:
     """A smash term a # monomial as text, e.g. (2, 1)#E12*E21^2."""
-    word = "*".join(f"{names[g]}^{p}" if p > 1 else names[g] for g, p in mon)
-    return f"{a!r}#{word or '1'}"
-
-
-_set_element_alg = SmashElement.alg.__set__
-_set_element_terms = SmashElement.terms.__set__
-
-
-def _element(alg: SmashAlgebra, terms: dict) -> SmashElement:
-    """SmashElement wrapping terms as they are, unchecked: for a dict built
-    through add_term or read off normalize_terms, so no coefficient is zero
-    and every monomial is a tuple already."""
-    x = object.__new__(SmashElement)
-    _set_element_alg(x, alg)
-    _set_element_terms(x, terms)
-    return x
+    return f"{a!r}#{monomial_label(names, mon) or '1'}"
 
 
 def _term_product(alg: SmashAlgebra, t1, t2) -> dict:
@@ -357,7 +299,7 @@ def smash_multiply(u: SmashElement, v: SmashElement) -> SmashElement:
         for k2, c2 in v.terms.items():
             for key, c in _term_product(u.alg, k1, k2).items():
                 add_term(out, key, c1 * c2 * c)
-    return _element(u.alg, out)
+    return wrap_terms(SmashElement, (u.alg,), out)
 
 
 def term_parity(alg: SmashAlgebra, key) -> int:
@@ -369,38 +311,29 @@ def term_parity(alg: SmashAlgebra, key) -> int:
 # ---------------------------------------------------------------------------
 
 
-class TensorElement:
-    """Element of the n-fold tensor power; keys are tuples of smash keys."""
+class TensorElement(SparseSum):
+    """Element of the n-fold tensor power; keys are tuples of smash keys.
+    Equality compares the leg count and the terms."""
 
-    __slots__ = ("alg", "legs", "terms")
+    __slots__ = ("alg", "legs")
+    _context = ("alg", "legs")
+    _same = ("legs",)
+    _mixed = "tensors with different leg counts"
 
     def __init__(self, alg: SmashAlgebra, legs: int, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if len(key) != legs:
-                    raise ValueError("tensor key with wrong number of legs")
-                if not c.is_zero():
-                    clean[key] = c
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "terms", clean)
+        super().__init__((alg, legs), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
-
-    def __reduce__(self):
-        return TensorElement, (self.alg, self.legs, self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.legs == other.legs and self.terms == other.terms
+    def _key(self, key):
+        if len(key) != self.legs:
+            raise ValueError("tensor key with wrong number of legs")
+        return key
 
     def __mul__(self, other):
         """Graded product of two-leg tensors, (x1 x x2)(y1 x y2) =
         (-1)^{|x2||y1|} x1 y1 x x2 y2; other leg counts are NotImplemented."""
-        if not isinstance(other, TensorElement) or self.legs != 2 or other.legs != 2:
+        if not isinstance(other, TensorElement):
+            return super().__mul__(other)
+        if self.legs != 2 or other.legs != 2:
             return NotImplemented
         alg = self.alg
         out: dict = {}
@@ -414,22 +347,7 @@ class TensorElement:
                 for k1, l1 in lefts.items():
                     for k2, l2 in rights.items():
                         add_term(out, (k1, k2), c * l1 * l2)
-        return _tensor(alg, 2, out)
-
-
-_set_tensor_alg = TensorElement.alg.__set__
-_set_tensor_legs = TensorElement.legs.__set__
-_set_tensor_terms = TensorElement.terms.__set__
-
-
-def _tensor(alg: SmashAlgebra, legs: int, terms: dict) -> TensorElement:
-    """TensorElement wrapping terms as they are, unchecked: for a dict built
-    through add_term with keys of `legs` legs, so no coefficient is zero."""
-    x = object.__new__(TensorElement)
-    _set_tensor_alg(x, alg)
-    _set_tensor_legs(x, legs)
-    _set_tensor_terms(x, terms)
-    return x
+        return wrap_terms(TensorElement, (alg, 2), out)
 
 
 def coproduct(u: SmashElement) -> TensorElement:
@@ -442,16 +360,18 @@ def coproduct(u: SmashElement) -> TensorElement:
     prims: dict = {}
     total: dict = {}
     for (a, mon), c in u.terms.items():
-        acc = _tensor(alg, 2, {((a, ()), (a, ())): ONE})
+        acc = wrap_terms(TensorElement, (alg, 2), {((a, ()), (a, ())): ONE})
         for gen in word_of(mon):
             prim = prims.get(gen)
             if prim is None:
                 x = (e, ((gen, 1),))
-                prim = prims[gen] = _tensor(alg, 2, {(x, one): ONE, (one, x): ONE})
+                prim = prims[gen] = wrap_terms(
+                    TensorElement, (alg, 2), {(x, one): ONE, (one, x): ONE}
+                )
             acc = acc * prim
         for key, v in acc.terms.items():
             add_term(total, key, v * c)
-    return _tensor(alg, 2, total)
+    return wrap_terms(TensorElement, (alg, 2), total)
 
 
 def _shuffle_split(mon: Monomial, parities) -> list:
@@ -498,7 +418,7 @@ def coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
         head, tail = key[:leg], key[leg + 1 :]
         for left, right, k in _shuffle_split(mon, parities):
             add_term(out, head + ((a, left), (a, right)) + tail, c if k == 1 else c * k)
-    return _tensor(alg, t.legs + 1, out)
+    return wrap_terms(TensorElement, (alg, t.legs + 1), out)
 
 
 def counit(u: SmashElement) -> GaussianRational:
@@ -535,7 +455,7 @@ def antipode(u: SmashElement) -> SmashElement:
         a_inv = a.inverse()
         for mon, c in normalize_terms(alg.g, items).items():
             out[(a_inv, mon)] = c
-    return _element(alg, out)
+    return wrap_terms(SmashElement, (alg,), out)
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +470,27 @@ def _antipode_convolutions(delta: TensorElement) -> tuple:
     Delta(a # m) is a sum of (a # l) x (a # r) over the splits of m into
     complementary sub-monomials l, r, and the complement of a sub-monomial
     is one, so the left legs and the right legs of Delta(u) are the same
-    set.  The two sides therefore need the same antipodes: s(leg) is taken
-    once per distinct leg, a torus point and a monomial, and both sides
-    read it.  Each term still costs one smash_multiply per side."""
+    set.  The two sides therefore need the same antipodes: s(leg), and the
+    one-term element of the leg it is taken of, are built once per distinct
+    leg, a torus point and a monomial, and both sides read them.  Each term
+    still costs one smash_multiply per side."""
     alg = delta.alg
-    s: dict = {}  # {leg: s(e_leg)}, e_leg the one-term element of the leg
+    e: dict = {}  # {leg: e_leg}, the one-term element of the leg
+    s: dict = {}  # {leg: s(e_leg)}
     right: dict = {}
     left: dict = {}
     for (k0, k1), c in delta.terms.items():
         for k in (k0, k1):
             if k not in s:
-                s[k] = antipode(_element(alg, {k: ONE}))
-        for out, x, y in (
-            (right, _element(alg, {k0: ONE}), s[k1]),
-            (left, s[k0], _element(alg, {k1: ONE})),
-        ):
+                e[k] = wrap_terms(SmashElement, (alg,), {k: ONE})
+                s[k] = antipode(e[k])
+        for out, x, y in ((right, e[k0], s[k1]), (left, s[k0], e[k1])):
             for key, v in smash_multiply(x, y).terms.items():
                 add_term(out, key, v * c)
-    return _element(alg, right), _element(alg, left)
+    return (
+        wrap_terms(SmashElement, (alg,), right),
+        wrap_terms(SmashElement, (alg,), left),
+    )
 
 
 def _counit_contract(t: TensorElement, leg: int) -> SmashElement:
@@ -588,7 +511,7 @@ def _twist(t: TensorElement) -> TensorElement:
     for (k1, k2), c in t.terms.items():
         sign = _MINUS_ONE if term_parity(alg, k1) and term_parity(alg, k2) else ONE
         add_term(out, (k2, k1), c * sign)
-    return _tensor(alg, 2, out)
+    return wrap_terms(TensorElement, (alg, 2), out)
 
 
 def _first_difference(lhs, rhs) -> str:

@@ -7,6 +7,10 @@ hyperbolic sine of a half root value, sinh(eps(Y)/2), is the Laurent binomial
 (q^eps - q^-eps)/2, which keeps the whole radial-part calculus inside exact
 arithmetic over Q(i).
 
+LaurentPoly is a linalg.SparseSum over exponent vectors.  Its product
+accumulates into one dict through linalg.add_term and wraps it once,
+unchecked; sums, negation and scaling come from the base.
+
 TorusRational is the fraction field, kept in a canonical form so that
 equality is syntactic:
 
@@ -24,47 +28,36 @@ from typing import Iterable, Sequence
 
 from ._polytools import poly_div_exact, poly_gcd
 from .errors import NotAScalarSquare
-from .linalg import add_term
-from .scalars import GaussianRational, ONE, ZERO, gr
+from .linalg import SparseSum, add_term
+from .scalars import GaussianRational, ONE, ZERO, as_scalar, gr
 
 Exps = tuple
 
 
-def _as_scalar(x) -> GaussianRational | None:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    return None
-
-
-class LaurentPoly:
+class LaurentPoly(SparseSum):
     """Laurent polynomial in t torus coordinates over Q(i).
 
     terms maps exponent vectors (length-t int tuples, negatives allowed) to
-    nonzero GaussianRational coefficients.
+    nonzero GaussianRational coefficients.  Polynomials in different
+    numbers of variables are never equal, zero included.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    _context = _same = ("nvars",)
+    _mixed = "mixed variable counts"
 
     def __init__(self, nvars: int, terms: dict | None = None):
         if nvars < 1:
             raise ValueError("need at least one torus coordinate")
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent vector {exps} has wrong length")
-                if not coeff.is_zero():
-                    clean[tuple(exps)] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        super().__init__((nvars,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    def _key(self, exps):
+        if len(exps) != self.nvars:
+            raise ValueError(f"exponent vector {exps} has wrong length")
+        return tuple(exps)
 
-    def __reduce__(self):
-        return LaurentPoly, (self.nvars, self.terms)
+    def _constant(self, s):
+        return LaurentPoly.const(self.nvars, s)
 
     # -- constructors ------------------------------------------------------
 
@@ -74,7 +67,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "LaurentPoly":
-        c = _as_scalar(c)
+        c = as_scalar(c)
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -83,13 +76,10 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, nvars: int, exps: Iterable[int], coeff=ONE) -> "LaurentPoly":
-        c = _as_scalar(coeff)
+        c = as_scalar(coeff)
         return cls(nvars, {tuple(exps): c})
 
     # -- predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         if not self.terms:
@@ -105,48 +95,16 @@ class LaurentPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "LaurentPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other):
-        s = _as_scalar(other)
-        if s is not None:
-            other = LaurentPoly.const(self.nvars, s)
-        self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            add_term(out, exps, c)
-        return LaurentPoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        s = _as_scalar(other)
-        if s is not None:
-            other = LaurentPoly.const(self.nvars, s)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        s = _as_scalar(other)
-        if s is not None:
-            if s.is_zero():
-                return LaurentPoly.zero(self.nvars)
-            return LaurentPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
-        self._check(other)
+        if not isinstance(other, LaurentPoly):
+            return super().__mul__(other)
+        if self.nvars != other.nvars:
+            raise ValueError(self._mixed)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return LaurentPoly(self.nvars, out)
-
-    __rmul__ = __mul__
+        return self._like(out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -160,14 +118,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     # -- structure -------------------------------------------------------
 
     def min_exps(self) -> Exps:
@@ -179,9 +129,8 @@ class LaurentPoly:
 
     def shift(self, delta: Exps) -> "LaurentPoly":
         """Multiply by the monomial q^delta."""
-        return LaurentPoly(
-            self.nvars,
-            {tuple(a + d for a, d in zip(e, delta)): c for e, c in self.terms.items()},
+        return self._like(
+            {tuple(a + d for a, d in zip(e, delta)): c for e, c in self.terms.items()}
         )
 
     def lex_least(self) -> Exps:
@@ -195,7 +144,7 @@ class LaurentPoly:
         for e, c in self.terms.items():
             if e[var]:
                 out[e] = c * Fraction(e[var], 2)
-        return LaurentPoly(self.nvars, out)
+        return self._like(out)
 
     def eval(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Value at a point, summed term by term in the order of `terms`.
@@ -313,7 +262,7 @@ class TorusRational:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
-        s = _as_scalar(other)
+        s = as_scalar(other)
         if s is not None:
             return TorusRational.const(self.nvars, s)
         if isinstance(other, LaurentPoly):

@@ -22,7 +22,7 @@ from superalg.jstruct import (
     realify,
     validate_J,
 )
-from superalg.liealg import ad_eigenvalue, build_gl, check_jacobi
+from superalg.liealg import build_gl, check_jacobi
 from superalg.pbw import (
     casimir2,
     gelfand_invariant,
@@ -39,7 +39,7 @@ from superalg.radial import (
     gamma_closed_form,
     leading_term_match,
 )
-from superalg.sampling import rand_torus_coords, rand_word, rng
+from superalg.sampling import rand_word, regular_points, rng
 from superalg.scalars import gr, ONE, ZERO
 from superalg.smash import SmashAlgebra, TorusElement, check_hopf_axioms, gamma_via_sdet
 from superalg.torus import TorusRational
@@ -65,16 +65,6 @@ class Budget:
                 f" ({elapsed:.2f}s)"
             )
         return False
-
-
-def regular_points(rs, count, seed):
-    r = rng(seed)
-    out = []
-    while len(out) < count:
-        coords = rand_torus_coords(r, rs.rank)
-        if all(ad_eigenvalue(rs, coords, rt.index) != ONE for rt in rs.odd_roots):
-            out.append(TorusElement(coords))
-    return out
 
 
 def test_01_structure_validity():

@@ -189,6 +189,44 @@ class TestFiles:
         assert status == 1
         assert [r["check"] for r in rep["results"] if not r["pass"]] == failing
 
+    @pytest.mark.parametrize(
+        "defect, failing",
+        [
+            # [E21, E11] given with the sign of [E11, E21]: the table is not
+            # super-antisymmetric, and the rows after structure see it too
+            ("antisymmetry", {
+                "structure": "(E21, E11)",
+                "jacobi": {"defect": {"E21": "-2"}, "indices": [0, 1, 1],
+                           "triple": ["E21", "E11", "E11"]},
+                "quadratic-form": ["E11", "E21", "E12"],
+                "root-eigenequations": ["E11", "E21"],
+            }),
+            # every root weight doubled: [E11, E21] = -E21, but the weight
+            # of E21 says -2
+            ("doubled-weights", {"root-eigenequations": ["E11", "E21"]}),
+        ],
+    )
+    def test_build_reports_a_bad_file_as_failing_rows(self, defect, failing, capsys, tmp_path):
+        # these files once exited 2 at load time, so the structure and
+        # root-eigenequations rows of build could never fail
+        g, form, rs = build_gl(1, 1)
+        data = dump_definition(g, form, rs)
+        if defect == "antisymmetry":
+            i11, i21 = g.names.index("E11"), g.names.index("E21")
+            ent = next(b for b in data["brackets"] if {b["i"], b["j"]} == {i11, i21})
+            data["brackets"].append({"i": ent["j"], "j": ent["i"], "result": ent["result"]})
+        else:
+            for root in data["root_system"]["roots"]:
+                root["weight"] = [2 * w for w in root["weight"]]
+        path = tmp_path / "bad.json"
+        for _ in range(2):
+            path.write_text(json.dumps(data))
+            status, rep = run_main(["build", "--file", str(path)], capsys)
+            assert status == 1
+            assert {r["check"]: r["witness"] for r in rep["results"] if not r["pass"]} == failing
+            # the dumped definition is the table that failed: building it fails alike
+            data = rep["values"]["definition"]
+
     def test_opposite_positive_roots_give_the_same_sign(self, capsys, tmp_path):
         # gamma and its sign i^|R1| depend on the root pairs, not on which
         # root of each pair is called positive
@@ -627,6 +665,10 @@ class TestInputBoundary:
             (["radial"], "no-generators", "at least one generator"),
             (["jstruct-check"], "no-generators", "at least one generator"),
             (["complexify"], "no-generators", "at least one generator"),
+            # check-jacobi once read the generators and brackets only
+            (["check-jacobi"], "form-not-square", "gram matrix must be square"),
+            (["check-jacobi"], "positives-out-of-range", "positives must index"),
+            (["check-jacobi"], "non-square-J", "must be square"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(

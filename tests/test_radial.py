@@ -21,24 +21,10 @@ from superalg.radial import (
     leading_term_reference,
     weights_needed,
 )
-from superalg.sampling import rand_torus_coords, rng
+from superalg.sampling import rand_torus_coords, regular_points, rng
 from superalg.scalars import gr, I, ONE
 from superalg.smash import TorusElement, gamma_via_sdet
 from superalg.torus import TorusRational, cosh_half, sinh_half, sqrt_scalar_free, torus_derive
-
-
-def sample_regular_points(rs, count, seed):
-    from superalg.liealg import ad_eigenvalue
-
-    r = rng(seed)
-    out = []
-    while len(out) < count:
-        coords = rand_torus_coords(r, rs.rank)
-        if all(
-            ad_eigenvalue(rs, coords, root.index) != ONE for root in rs.odd_roots
-        ):
-            out.append(TorusElement(coords))
-    return out
 
 
 class TestGammaClosedForm:
@@ -120,7 +106,7 @@ class TestGammaClosedForm:
 class TestGammaOracle:
     def test_gl11_points(self, gl11):
         _, form, rs = gl11
-        pts = sample_regular_points(rs, 20, seed=100)
+        pts = regular_points(rs, 20, seed=100)
         rep = check_gamma_oracle(rs, form, pts)
         assert rep["pass"]
         assert rep["sign"] in (1, -1)
@@ -133,7 +119,7 @@ class TestGammaOracle:
 
     def test_gl21_points(self, gl21):
         _, form, rs = gl21
-        pts = sample_regular_points(rs, 20, seed=101)
+        pts = regular_points(rs, 20, seed=101)
         rep = check_gamma_oracle(rs, form, pts)
         assert rep["pass"]
 
@@ -144,7 +130,7 @@ class TestGammaOracle:
         # collapses to exactly that factor
         for bundle, seed in ((gl11, 31), (gl21, 32), (gl22, 33)):
             _, form, rs = bundle
-            pts = sample_regular_points(rs, 5, seed)
+            pts = regular_points(rs, 5, seed)
             rep = check_gamma_oracle(rs, form, pts)
             assert rep["pass"]
             predicted = 1 if len(rs.odd_roots) % 4 == 0 else -1
@@ -153,7 +139,7 @@ class TestGammaOracle:
     def test_single_global_sign(self, gl11):
         _, form, rs = gl11
         gamma = gamma_closed_form(rs)
-        pts = sample_regular_points(rs, 10, seed=7)
+        pts = regular_points(rs, 10, seed=7)
         sigma = None
         for a in pts:
             closed = gamma.eval(a.coords)
@@ -191,7 +177,7 @@ class TestGammaOracle:
         monkeypatch.setattr(radial, "gamma_via_sdet", lambda rs, a: -real(rs, a))
         for bundle, seed in ((gl11, 31), (gl21, 32), (gl22, 33)):
             _, form, rs = bundle
-            rep = check_gamma_oracle(rs, form, sample_regular_points(rs, 5, seed))
+            rep = check_gamma_oracle(rs, form, regular_points(rs, 5, seed))
             assert rep["pass"] is False
             assert rep["sign"] == (-1) ** len(rs.odd_positives)
             # only the points on gamma's zero locus still agree, as 0 = -0

@@ -14,7 +14,13 @@ from superalg.errors import (
 from superalg.liealg import QuadraticForm, RootSystem, ad_eigenvalue, build_gl
 from superalg.linalg import add_term, inv, mat_mul
 from superalg.pbw import monomial_parity, normalize_terms, pbw_normalize, word_of
-from superalg.sampling import rand_monomial, rand_smash_element, rand_torus_coords, rng
+from superalg.sampling import (
+    rand_monomial,
+    rand_smash_element,
+    rand_torus_coords,
+    regular_points,
+    rng,
+)
 from superalg.scalars import gr, ONE, ZERO
 from superalg.smash import (
     SmashAlgebra,
@@ -37,16 +43,6 @@ from superalg.smash import (
     smash_multiply,
 )
 from superalg.supermatrix import SuperMatrix
-
-
-def regular_points(rs, count, seed):
-    r = rng(seed)
-    out = []
-    while len(out) < count:
-        coords = rand_torus_coords(r, rs.rank)
-        if all(ad_eigenvalue(rs, coords, root.index) != ONE for root in rs.odd_roots):
-            out.append(TorusElement(coords))
-    return out
 
 
 def framed_berezinian(rs, form, a):
