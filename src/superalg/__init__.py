@@ -27,7 +27,6 @@ from .torus import (
     cosh_half,
     sinh_half,
     sqrt_scalar_free,
-    torus_derive,
 )
 from .supermatrix import SuperMatrix
 from .liealg import (

@@ -2,11 +2,14 @@
 emits machine-readable JSON reports.
 
 Reports contain no floating point: every scalar is a pair of integer
-fractions, its real and imaginary parts.  Most scalars (torus points,
-gamma values, form entries, fitted coefficients) appear as quads
-[re_num, re_den, im_num, im_den]; PBW coefficients appear as
-[[re_num, re_den], [im_num, im_den]], and a bracket entry as
-[[re_num, re_den], [im_num, im_den], index].  All sampling
+fractions, its real and imaginary parts.  Both encodings are written by
+scalars.GaussianRational.  Most scalars (torus points, gamma values, form
+entries, fitted coefficients) appear as quads [re_num, re_den, im_num,
+im_den], from to_json; PBW coefficients appear as [[re_num, re_den],
+[im_num, im_den]], from to_json_pairs, and a bracket entry as that pair
+followed by its index.  A polynomial in the Cartan variables (the Cartan
+projection, the fitted P) is torus.LaurentPoly.to_json: a map from
+"[e_1, ..., e_t]" to the quad of that exponent's coefficient.  All sampling
 is driven by random.Random(seed) (Mersenne Twister), so a fixed seed
 reproduces a report byte for byte apart from the timing_ms field.  Exit
 status is 0 exactly when every check passed, 1 when some check failed,
@@ -190,10 +193,7 @@ def _cmd_casimir(config: RunConfig):
         results.append({"check": "central", **_strip(is_central(elem, g))})
     values = {"element": elem.to_json(), "kind": kind, "order": config.order}
     if rs is not None:
-        proj = project_to_cartan(elem, rs)
-        values["cartan_projection"] = {
-            str(list(e)): c.to_json() for e, c in sorted(proj.items())
-        }
+        values["cartan_projection"] = project_to_cartan(elem, rs).to_json()
     if not results:
         results.append({"check": "computed", "pass": True, "witness": None})
     return results, values

@@ -109,6 +109,14 @@ def nijenhuis_report(g: LieSuperalgebra, j: JStructure) -> dict:
     return {"pass": True, "witness": None}
 
 
+def _row_basis(rows) -> tuple:
+    """(basis, pivots): the nonzero rows of rref(rows) as sparse vectors,
+    and their pivot columns."""
+    red, pivots = rref(rows)
+    basis = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in red[: len(pivots)]]
+    return basis, pivots
+
+
 def eigen_split(g: LieSuperalgebra, j: JStructure):
     """Bases of the (+i)- and (-i)-eigenspaces of J over Q(i).
 
@@ -126,11 +134,7 @@ def eigen_split(g: LieSuperalgebra, j: JStructure):
             vec = {k: ONE}
             add_scaled(vec, j.columns[k], I * gr(-sign))
             rows.append([vec.get(c, ZERO) for c in range(n)])
-        red, pivots = rref(rows)
-        basis = []
-        for r in range(len(pivots)):
-            basis.append({c: red[r][c] for c in range(n) if not red[r][c].is_zero()})
-        return basis
+        return _row_basis(rows)[0]
 
     plus = build(1)   # v - iJv, eigenvalue +i
     minus = build(-1)  # v + iJv, eigenvalue -i
@@ -213,12 +217,7 @@ def complexify(g: LieSuperalgebra, p=()) -> ComplexifiedPair:
     if not vectors:
         return ComplexifiedPair(g, [], list(range(n)), check_jacobi(g))
 
-    rows = [[v.get(c, ZERO) for c in range(n)] for v in vectors]
-    red, pivots = rref(rows)
-    basis = [
-        {c: red[r][c] for c in range(n) if not red[r][c].is_zero()}
-        for r in range(len(pivots))
-    ]
+    basis, pivots = _row_basis([[v.get(c, ZERO) for c in range(n)] for v in vectors])
 
     def reduce_mod(vec: dict) -> dict:
         out = dict(vec)

@@ -85,10 +85,7 @@ class LieSuperalgebra:
             sign = 1 if (self.parities[i] and self.parities[j]) else -1
             if i > j and vec == {k: c * sign for k, c in self.bracket(j, i).items()}:
                 continue
-            entry = [
-                [list(_frac_json(c.re)), list(_frac_json(c.im)), k]
-                for k, c in sorted(vec.items())
-            ]
+            entry = [[*c.to_json_pairs(), k] for k, c in sorted(vec.items())]
             brackets.append({"i": i, "j": j, "result": entry})
         return {
             "generators": [
@@ -131,10 +128,6 @@ class LieSuperalgebra:
             raise
         except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed algebra definition: {exc}") from exc
-
-
-def _frac_json(fr):
-    return (fr.numerator, fr.denominator)
 
 
 def _frac_load(item):

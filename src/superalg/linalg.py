@@ -5,8 +5,10 @@ be torus functions: their operators coerce a Q(i) scalar operand, so
 ZERO + f and ONE / f are torus functions again.  Every entry must support
 +, -, *, / and an is_zero() predicate.
 
-Matrices are lists/tuples of rows.  Nothing here is optimized; dimensions
-in this package stay below a few dozen.
+Matrices are lists/tuples of rows; dimensions in this package stay below
+a few dozen.  det, inv and rref read one Gauss-Jordan reduction, _reduce:
+det is its signed pivot product at full rank, inv the right half of the
+reduced [A | I], rref the reduced rows and their pivot columns.
 
 Sparse vectors are dicts {key: coefficient} with no zero coefficient.
 add_term and add_scaled accumulate into one.  SparseSum is the immutable
@@ -210,71 +212,70 @@ def identity(n):
 
 
 def det(a):
-    """Determinant by fraction-full Gaussian elimination (entries in a field);
-    ONE, the empty product, for the 0 x 0 matrix."""
+    """Determinant: the signed pivot product of the reduction; ONE, the
+    empty product, for the 0 x 0 matrix."""
     n = len(a)
-    if n == 0:
-        return ONE
-    m = [list(row) for row in a]
-    sign = 1
-    acc = None
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        acc = pivot if acc is None else acc * pivot
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] / pivot
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return acc if sign > 0 else -acc
+    pivots, product = _reduce([list(row) for row in a], n)
+    return product if len(pivots) == n else ZERO
 
 
 def inv(a):
-    """Inverse via Gauss-Jordan; returns None when singular."""
+    """Inverse: the right half of the reduced [A | I]; None when singular."""
     n = len(a)
     m = [list(row) + unit for row, unit in zip(a, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    pivots, _ = _reduce(m, n)
+    if len(pivots) < n:
+        return None
     return [row[n:] for row in m]
 
 
 def rref(a):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     m = [list(row) for row in a]
+    pivots, _ = _reduce(m, len(m[0]) if m else 0)
+    return m, pivots
+
+
+def _reduce(m, ncols):
+    """Gauss-Jordan reduction of the rows m, in place, with pivots taken in
+    the first ncols columns: each pivot is the first nonzero entry of its
+    column at or below the current row, its row is divided by it, and its
+    column is cleared in every other row.  Returns (pivot columns, signed
+    product of the pivots), the product being ONE when there is no pivot.
+
+    A pivot row is zero left of its pivot, and its pivot becomes ONE and
+    the pivot's column ZERO, so only its nonzero entries right of the pivot
+    are divided and subtracted from the other rows: a diagonal matrix costs
+    no division."""
     rows = len(m)
-    cols = len(m[0]) if rows else 0
     pivots = []
+    product = None
+    sign = 1
     r = 0
-    for c in range(cols):
-        if r >= rows:
+    for c in range(ncols):
+        if r == rows:
             break
         piv = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        pv = prow[c]
+        product = pv if product is None else product * pv
+        prow[c] = ONE
+        support = [j for j in range(c + 1, len(prow)) if not prow[j].is_zero()]
+        for j in support:
+            prow[j] = prow[j] / pv
+        for row in m:
+            f = row[c]
+            if row is not prow and not f.is_zero():
+                row[c] = ZERO
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
-    return m, pivots
-
+    if product is None:
+        return pivots, ONE
+    return pivots, product if sign > 0 else -product

@@ -41,7 +41,8 @@ from itertools import product
 
 from .liealg import LieSuperalgebra, QuadraticForm, RootSystem, theta_dual
 from .linalg import SparseSum, add_term
-from .scalars import GaussianRational, ONE, ZERO, gr
+from .scalars import GaussianRational, ONE, gr
+from .torus import LaurentPoly
 
 Monomial = tuple  # ((gen, power), ...)
 
@@ -193,28 +194,15 @@ class PBWElement(SparseSum):
         return " + ".join(bits)
 
     def to_json(self) -> list:
+        """Terms in monomial order, each coefficient as a pair of [num, den]
+        pairs; TypeError for a coefficient outside Q(i)."""
         out = []
         for mon in sorted(self.terms):
             c = self.terms[mon]
-            out.append({"monomial": [[g, p] for g, p in mon], "coeff": _coeff_json(c)})
+            if not isinstance(c, GaussianRational):
+                raise TypeError("only Q(i) coefficients serialize to JSON")
+            out.append({"monomial": [[g, p] for g, p in mon], "coeff": c.to_json_pairs()})
         return out
-
-    @classmethod
-    def from_json(cls, alg, data) -> "PBWElement":
-        terms = {}
-        for ent in data:
-            mon = tuple((int(g), int(p)) for g, p in ent["monomial"])
-            terms[mon] = GaussianRational.from_json(ent["coeff"])
-        return cls(alg, terms)
-
-
-def _coeff_json(c):
-    if isinstance(c, GaussianRational):
-        return [
-            [c.re.numerator, c.re.denominator],
-            [c.im.numerator, c.im.denominator],
-        ]
-    raise TypeError("only Q(i) coefficients serialize to JSON")
 
 
 def pbw_normalize(alg: LieSuperalgebra, word, coeff=ONE) -> PBWElement:
@@ -351,9 +339,9 @@ def gelfand_invariant(g: LieSuperalgebra, k: int) -> PBWElement:
     return PBWElement(g, normalize_terms(g, items))
 
 
-def project_to_cartan(c: PBWElement, rs: RootSystem) -> dict:
+def project_to_cartan(c: PBWElement, rs: RootSystem) -> LaurentPoly:
     """Keep monomials supported on Cartan generators, as a commutative
-    polynomial {exponent tuple over Cartan positions: coefficient}."""
+    polynomial in rs.rank variables, one per Cartan position."""
     cartan_pos = {idx: pos for pos, idx in enumerate(rs.cartan)}
     t = rs.rank
     out: dict = {}
@@ -363,16 +351,4 @@ def project_to_cartan(c: PBWElement, rs: RootSystem) -> dict:
             for g, p in mon:
                 exps[cartan_pos[g]] += p
             add_term(out, tuple(exps), coeff)
-    return out
-
-
-def cartan_poly_eval(poly: dict, values) -> GaussianRational:
-    """Evaluate a Cartan polynomial at scalar values (H_pos -> values[pos])."""
-    total = ZERO
-    for exps, c in poly.items():
-        term = c
-        for v, e in zip(values, exps):
-            for _ in range(e):
-                term = term * v
-        total = total + term
-    return total
+    return LaurentPoly(t, out)

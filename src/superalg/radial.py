@@ -45,7 +45,7 @@ from math import prod
 from .errors import DegenerateForm, NotEigenfunction, SingularOddBlock
 from .liealg import QuadraticForm, RootSystem
 from .linalg import rref
-from .pbw import cartan_poly_eval, casimir2, project_to_cartan
+from .pbw import casimir2, project_to_cartan
 from .scalars import GaussianRational, I, ZERO, gr
 from .smash import check_frame, gamma_via_sdet
 from .torus import LaurentPoly, TorusRational, sinh_half, sqrt_scalar_free
@@ -150,17 +150,16 @@ class TorusLaplacian:
             total = total + f.derive(i).derive(i) * c
         return total
 
-    def symbol(self) -> dict:
+    def symbol(self) -> LaurentPoly:
         """L(q^lam) = s(lam) q^lam with s(lam) = sum_i c_i lam_i^2 / 4, as a
-        {exponent tuple: coefficient} polynomial in the weight."""
+        polynomial in the weight."""
         quarter = gr(Fraction(1, 4))
         out = {}
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                e = [0] * self.rank
-                e[i] = 2
-                out[tuple(e)] = c * quarter
-        return out
+            e = [0] * self.rank
+            e[i] = 2
+            out[tuple(e)] = c * quarter
+        return LaurentPoly(self.rank, out)
 
 
 class RadialOperator:
@@ -275,8 +274,7 @@ def extract_P(op: RadialOperator, weights) -> tuple:
     matrix has full column rank, ValueError otherwise), and then agreement
     on the set proves the identity for every lam.
 
-    Returns (poly, report) with poly a {exponent tuple: coefficient} map in
-    the weight variables.
+    Returns (poly, report) with poly a LaurentPoly in the weight variables.
     """
     lap = op.laplacian
     t = lap.rank
@@ -292,48 +290,44 @@ def extract_P(op: RadialOperator, weights) -> tuple:
             "determine a degree-2 polynomial"
         )
     c = op.eigenvalue_c
-    poly = lap.symbol()
-    if not c.is_zero():
-        poly[(0,) * t] = -c
+    poly = lap.symbol() - c
     for lam in lams:
         q_lam = LaurentPoly.monomial(t, lam)
         l_q = LaurentPoly.zero(t)
         for i, ci in enumerate(lap.coeffs):
             l_q = l_q + q_lam.derive_half(i).derive_half(i) * ci
-        if l_q != q_lam * (cartan_poly_eval(poly, [gr(x) for x in lam]) + c):
+        if l_q != q_lam * (poly.eval([gr(x) for x in lam]) + c):
             return poly, {
                 "pass": False,
                 "reason": f"weight {list(lam)}: L(q^lam) is not (P(lam) + c) q^lam",
             }
-    degree = max((sum(e) for e in poly), default=0)
+    degree = max((sum(e) for e in poly.terms), default=0)
     return poly, {
         "pass": True,
         "degree": degree,
-        "coefficients": {str(list(e)): v.to_json() for e, v in sorted(poly.items())},
+        "coefficients": poly.to_json(),
         "weights_tested": len(lams),
     }
 
 
-def leading_term_reference(g, form: QuadraticForm, rs: RootSystem) -> dict:
+def _quadratic_part(poly: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(poly.nvars, {e: c for e, c in poly.terms.items() if sum(e) == 2})
+
+
+def leading_term_reference(g, form: QuadraticForm, rs: RootSystem) -> LaurentPoly:
     """Degree-two part of the Cartan projection of the order-two Casimir,
     rewritten in weight variables via H_i -> lam_i / 2."""
     proj = project_to_cartan(casimir2(g, form), rs)
-    out = {}
-    for e, c in proj.items():
-        if sum(e) == 2:
-            scaled = c * gr(Fraction(1, 4))
-            if not scaled.is_zero():
-                out[e] = scaled
-    return out
+    return _quadratic_part(proj).scale(gr(Fraction(1, 4)))
 
 
-def leading_term_match(poly: dict, g, form: QuadraticForm, rs: RootSystem) -> dict:
+def leading_term_match(poly: LaurentPoly, g, form: QuadraticForm, rs: RootSystem) -> dict:
     """Compare the fitted quadratic part against the Casimir's Cartan
     projection; exact coefficient-by-coefficient equality."""
-    fitted = {e: c for e, c in poly.items() if sum(e) == 2}
+    fitted = _quadratic_part(poly)
     reference = leading_term_reference(g, form, rs)
     return {
         "pass": fitted == reference,
-        "fitted": {str(list(e)): c.to_json() for e, c in sorted(fitted.items())},
-        "reference": {str(list(e)): c.to_json() for e, c in sorted(reference.items())},
+        "fitted": fitted.to_json(),
+        "reference": reference.to_json(),
     }

@@ -171,16 +171,7 @@ class GaussianRational:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     # -- equality and hashing -------------------------------------------
 
@@ -218,6 +209,11 @@ class GaussianRational:
         a, b, d = self._t
         ga, gb = gcd(a, d), gcd(b, d)
         return [a // ga, d // ga, b // gb, d // gb]
+
+    def to_json_pairs(self) -> list:
+        """Pair of pairs [[re_num, re_den], [im_num, im_den]]."""
+        re_num, re_den, im_num, im_den = self.to_json()
+        return [[re_num, re_den], [im_num, im_den]]
 
     @classmethod
     def from_json(cls, data) -> "GaussianRational":
@@ -300,6 +296,20 @@ def as_scalar(x) -> GaussianRational | None:
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     return None
+
+
+def power(x, n: int, one):
+    """x**n by square-and-multiply, starting from the unit `one` of x's
+    ring; a negative n raises x.inverse() instead."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 def from_parts(a: int, b: int, d: int = 1) -> GaussianRational:

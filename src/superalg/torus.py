@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from ._polytools import poly_div_exact, poly_gcd
 from .errors import NotAScalarSquare
 from .linalg import SparseSum, add_term
-from .scalars import GaussianRational, ONE, ZERO, as_scalar, gr
+from .scalars import GaussianRational, ONE, ZERO, as_scalar, gr, power
 
 Exps = tuple
 
@@ -47,8 +47,8 @@ class LaurentPoly(SparseSum):
     _mixed = "mixed variable counts"
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        if nvars < 1:
-            raise ValueError("need at least one torus coordinate")
+        if nvars < 0:
+            raise ValueError("negative variable count")
         super().__init__((nvars,), terms)
 
     def _key(self, exps):
@@ -106,18 +106,6 @@ class LaurentPoly(SparseSum):
                 add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return self._like(out)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial; use TorusRational")
-        out = LaurentPoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- structure -------------------------------------------------------
 
     def min_exps(self) -> Exps:
@@ -169,6 +157,10 @@ class LaurentPoly(SparseSum):
         return total
 
     # -- display ------------------------------------------------------------
+
+    def to_json(self) -> dict:
+        """{"[e_1, ..., e_t]": quad} in exponent order."""
+        return {str(list(e)): c.to_json() for e, c in sorted(self.terms.items())}
 
     def __repr__(self):
         if not self.terms:
@@ -354,16 +346,7 @@ class TorusRational:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = TorusRational.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, TorusRational.one(self.nvars))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -453,11 +436,6 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple:
     num2 = LaurentPoly(n, npoly).shift(delta)
     num2, den2 = _scale_normalize(num2, LaurentPoly(n, dpoly))
     return num2, den2
-
-
-def torus_derive(f: TorusRational, var: int) -> TorusRational:
-    """The derivation d/dy_var on the torus function field (0-based index)."""
-    return f.derive(var)
 
 
 def _grlex_desc(e: Exps) -> tuple:

@@ -175,7 +175,7 @@ def test_08_berezin_order_two():
             assert len(set(weights)) >= 10
             poly, rep = extract_P(op, weights)
             assert rep["pass"]
-            assert max(sum(e) for e in poly) == 2
+            assert max(sum(e) for e in poly.terms) == 2
             assert leading_term_match(poly, g, form, rs)["pass"]
 
 

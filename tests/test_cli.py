@@ -245,6 +245,29 @@ class TestFiles:
         assert rep["values"]["sign"] == builtin["values"]["sign"] == 1
         assert rep["values"]["skipped"] == 0
 
+    def test_rank_zero_cartan_projection_is_empty(self, capsys, tmp_path):
+        # no Cartan generator: the projection is a polynomial in 0 variables,
+        # here 0, since the Casimir 2 AB has no constant term
+        data = {
+            "generators": [{"name": "A", "parity": 0}, {"name": "B", "parity": 0}],
+            "brackets": [],
+            "form": [[0, 1], [1, 0]],
+            "root_system": {
+                "cartan": [],
+                "roots": [
+                    {"index": 0, "parity": 0, "weight": []},
+                    {"index": 1, "parity": 0, "weight": []},
+                ],
+                "positives": [0],
+            },
+        }
+        path = tmp_path / "rank0.json"
+        path.write_text(json.dumps(data))
+        argv = ["casimir", "--kind", "casimir2", "--check-central", "--file", str(path)]
+        status, rep = run_main(argv, capsys)
+        assert status == 0 and rep["pass"] is True
+        assert rep["values"]["cartan_projection"] == {}
+
     def test_jstruct_check_loads_J_from_file(self, capsys, tmp_path):
         from superalg.jstruct import realify
 
@@ -456,9 +479,7 @@ class TestCheckFailures:
         from superalg.radial import TorusLaplacian
 
         real = TorusLaplacian.symbol
-        monkeypatch.setattr(
-            TorusLaplacian, "symbol", lambda lap: {e: c * 2 for e, c in real(lap).items()}
-        )
+        monkeypatch.setattr(TorusLaplacian, "symbol", lambda lap: real(lap).scale(2))
         status, rep = run_main(
             ["radial", "--algebra", "gl:1,1", "--points", "2", "--weights", "6"], capsys
         )

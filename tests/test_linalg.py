@@ -1,11 +1,13 @@
 import pickle
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from superalg.liealg import build_gl
-from superalg.linalg import SparseSum, add_term, det
+from superalg.linalg import SparseSum, add_term, det, identity, inv, mat_mul, rref
 from superalg.pbw import PBWElement
+from superalg.sampling import rand_scalar, rand_torus_rational, rng
 from superalg.scalars import gr, ONE, ZERO
 from superalg.smash import SmashAlgebra, SmashElement, TensorElement, TorusElement
 from superalg.torus import LaurentPoly, TorusRational, sinh_half
@@ -45,6 +47,131 @@ def test_add_term_torus_coefficients():
 def test_det_of_the_empty_matrix_is_the_empty_product():
     assert det([]) == ONE
     assert det(()) == ONE
+
+
+# The fraction-full forward elimination det and the Gauss-Jordan inverse on
+# [A | I] that det and inv had before they read one reduction, kept as
+# oracles.
+
+
+def oracle_det(a):
+    n = len(a)
+    if n == 0:
+        return ONE
+    m = [list(row) for row in a]
+    sign = 1
+    acc = None
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if piv is None:
+            return ZERO
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        acc = pivot if acc is None else acc * pivot
+        for r in range(col + 1, n):
+            if m[r][col].is_zero():
+                continue
+            f = m[r][col] / pivot
+            for c in range(col, n):
+                m[r][c] = m[r][c] - f * m[col][c]
+    return acc if sign > 0 else -acc
+
+
+def oracle_inv(a):
+    n = len(a)
+    m = [list(row) + unit for row, unit in zip(a, identity(n))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        pivot = m[col][col]
+        m[col] = [x / pivot for x in m[col]]
+        for r in range(n):
+            if r != col and not m[r][col].is_zero():
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def rand_sparse(r, rows, cols):
+    """A Q(i) matrix with about half its entries zero."""
+    return [[rand_scalar(r) if r.random() < 0.5 else ZERO for _ in range(cols)] for _ in range(rows)]
+
+
+def zeros(n):
+    return [[ZERO] * n for _ in range(n)]
+
+
+def rand_matrices(seed):
+    """(matrix, rank bound) pairs of every size 0..6: full random ones, and
+    products of n x k and k x n factors, of rank at most k < n."""
+    r = rng(seed)
+    out = []
+    for n in range(7):
+        out.append((rand_sparse(r, n, n), n))
+        out.append((zeros(n), 0))
+        for k in range(1, n):
+            out.append((mat_mul(rand_sparse(r, n, k), rand_sparse(r, k, n)), k))
+    return out
+
+
+def rank_by_minors(a):
+    """The size of a largest square submatrix with a nonzero oracle_det."""
+    n = len(a)
+    for k in range(n, 0, -1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                if not oracle_det([[a[i][j] for j in cols] for i in rows]).is_zero():
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_det_and_inv_match_the_oracles(seed):
+    singular = 0
+    for a, _ in rand_matrices(seed):
+        assert det(a) == oracle_det(a)
+        assert inv(a) == oracle_inv(a)
+        singular += inv(a) is None
+    assert singular >= 5  # rank-deficient matrices were among them
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rref_is_the_reduced_echelon_form_of_the_right_rank(seed):
+    for a, bound in rand_matrices(seed):
+        red, pivots = rref(a)
+        rank = len(pivots)
+        assert rank <= bound and pivots == sorted(set(pivots))
+        assert (rank == len(a)) == (not oracle_det(a).is_zero())
+        if bound < len(a) or rank < len(a):
+            assert rank == rank_by_minors(a)
+        # every pivot column is a unit vector, a pivot row is zero left of
+        # its pivot, and the rows below the rank are zero
+        for i, p in enumerate(pivots):
+            assert [row[p] for row in red] == [ONE if k == i else ZERO for k in range(len(a))]
+            assert all(x.is_zero() for x in red[i][:p])
+        assert all(x.is_zero() for row in red[rank:] for x in row)
+        # A = A[:, pivots] R: the reduced rows span the rows of A
+        left = [[row[p] for p in pivots] for row in a]
+        assert a == (mat_mul(left, red[:rank]) if rank else zeros(len(a)))
+
+
+def test_torus_function_matrices_match_the_oracles():
+    r = rng(5)
+    for _ in range(3):
+        f, g, h, k = (rand_torus_rational(r, 2) for _ in range(4))
+        a = [[f, g], [h, k]]
+        assert det(a) == oracle_det(a) == f * k - g * h
+        assert inv(a) == oracle_inv(a)
+        assert (rref(a)[1] == [0, 1]) == (not det(a).is_zero())
+        m = sinh_half(2, (1, -1))
+        singular = [[f, g], [f * m, g * m]]
+        assert det(singular).is_zero() and oracle_det(singular).is_zero()
+        assert inv(singular) is None and oracle_inv(singular) is None
+        assert len(rref(singular)[1]) == (0 if f.is_zero() and g.is_zero() else 1)
 
 
 # The four element kinds on the SparseSum base, each as (a constructor from
