@@ -28,6 +28,7 @@ RUNGS=(
   "build --algebra gl:1,3"
   "check-jacobi --algebra gl:3,3"
   "jstruct-check --algebra gl:2,2"
+  "jstruct-check --algebra gl:3,3"
   "complexify --algebra gl:2,2 --ideal 0"
 )
 

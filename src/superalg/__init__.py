@@ -6,7 +6,6 @@ coordinates q_i = exp(y_i/2).
 """
 
 from .errors import (
-    CheckFailed,
     DegenerateForm,
     DegreeTooHigh,
     NotAlmostComplex,

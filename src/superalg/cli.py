@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import (
-    CheckFailed,
     DegenerateForm,
     NotAnIdeal,
     NotEigenfunction,
@@ -355,14 +354,6 @@ def run(config: RunConfig):
     if values:
         report["values"] = values
     return (0 if all_pass else 1), report
-
-
-def raise_for_status(report: dict):
-    """Raise CheckFailed when a report carries a failing check; for callers
-    using run() as a library entry point."""
-    if not report.get("pass", False):
-        failing = [r["check"] for r in report.get("results", []) if not r["pass"]]
-        raise CheckFailed(f"failing checks: {', '.join(failing) or 'unknown'}")
 
 
 def _at_least(low: int):

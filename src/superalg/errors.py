@@ -57,7 +57,3 @@ class ParseError(SuperalgError):
 
 class UnsupportedAlgebra(SuperalgError):
     """The requested builder spec is not recognized."""
-
-
-class CheckFailed(SuperalgError):
-    """A verification suite reported at least one failing check."""

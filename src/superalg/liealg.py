@@ -32,9 +32,12 @@ MAX_ROOT_WEIGHT = 64
 
 
 class LieSuperalgebra:
-    """Basis with parities plus the full bracket table c[i][j]."""
+    """Basis with parities plus the full bracket table c[i][j].
 
-    def __init__(self, names, parities, table, meta=None, validate=True):
+    Tables the package builds are trusted; from_json checks a file's with
+    check_structure."""
+
+    def __init__(self, names, parities, table, meta=None):
         self.names = tuple(names)
         self.parities = tuple(int(p) for p in parities)
         if len(self.names) != len(self.parities):
@@ -48,8 +51,6 @@ class LieSuperalgebra:
                 clean[(i, j)] = v
         self.table = clean
         self.meta = dict(meta) if meta else {}
-        if validate:
-            self._validate_structure()
 
     @property
     def dim(self) -> int:
@@ -66,11 +67,6 @@ class LieSuperalgebra:
                     add_term(out, k, ci * cj * c)
         return out
 
-    def _validate_structure(self):
-        rep = check_structure(self)
-        if not rep["pass"]:
-            raise ValueError(f"invalid structure table: {rep['witness']}")
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -82,8 +78,7 @@ class LieSuperalgebra:
         brackets = []
         for (i, j) in sorted(set(self.table) | {(j, i) for i, j in self.table}):
             vec = self.bracket(i, j)
-            sign = 1 if (self.parities[i] and self.parities[j]) else -1
-            if i > j and vec == {k: c * sign for k, c in self.bracket(j, i).items()}:
+            if i > j and vec == _mirrored(self.parities, j, i, self.bracket(j, i)):
                 continue
             entry = [[*c.to_json_pairs(), k] for k, c in sorted(vec.items())]
             brackets.append({"i": i, "j": j, "result": entry})
@@ -96,11 +91,17 @@ class LieSuperalgebra:
 
     @classmethod
     def from_json(cls, data: dict, validate=True) -> "LieSuperalgebra":
+        """The algebra a definition's generators and brackets give; ParseError
+        when they are malformed or, unless validate is False, when the table
+        fails check_structure."""
         try:
             gens = data["generators"]
             if not gens:
                 raise ParseError("an algebra needs at least one generator")
             names = [g["name"] for g in gens]
+            for nm in names:
+                if type(nm) is not str:
+                    raise ValueError(f"generator name must be a JSON string, got {nm!r}")
             parities = [json_int(g["parity"]) for g in gens]
             n = len(names)
             table: dict = {}
@@ -121,13 +122,24 @@ class LieSuperalgebra:
             # fill mirror entries not present, using super-antisymmetry
             for (i, j) in list(table):
                 if (j, i) not in table:
-                    sign = 1 if (parities[i] and parities[j]) else -1
-                    table[(j, i)] = {k: c * sign for k, c in table[(i, j)].items()}
-            return cls(names, parities, table, validate=validate)
+                    table[(j, i)] = _mirrored(parities, i, j, table[(i, j)])
+            g = cls(names, parities, table)
+            if validate:
+                rep = check_structure(g)
+                if not rep["pass"]:
+                    raise ValueError(f"invalid structure table: {rep['witness']}")
+            return g
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed algebra definition: {exc}") from exc
+
+
+def _mirrored(parities, i, j, vec: dict) -> dict:
+    """The entry (j, i) that super-antisymmetry gives for vec = [X_i, X_j]:
+    vec times -(-1)^{|i||j|}."""
+    sign = 1 if (parities[i] and parities[j]) else -1
+    return {k: c * sign for k, c in vec.items()}
 
 
 def _frac_load(item):
@@ -402,9 +414,7 @@ def check_structure(g: LieSuperalgebra) -> dict:
                         "check": "parity-closure",
                         "witness": f"[{g.names[i]},{g.names[j]}] hits {g.names[k]}",
                     }
-            sign = -1 if not (g.parities[i] and g.parities[j]) else 1
-            flipped = {k: c * sign for k, c in g.bracket(j, i).items()}
-            if b_ij != flipped:
+            if b_ij != _mirrored(g.parities, j, i, g.bracket(j, i)):
                 return {
                     "pass": False,
                     "check": "super-antisymmetry",

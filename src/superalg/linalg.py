@@ -105,11 +105,8 @@ class SparseSum:
 
     def _like(self, terms: dict):
         """An element of this one's space holding terms, unchecked."""
-        x = _new(type(self))
-        for _, set_slot, get_slot in self._context_slots:
-            set_slot(x, get_slot(self))
-        _set_terms(x, terms)
-        return x
+        context = [get_slot(self) for _, _, get_slot in self._context_slots]
+        return wrap_terms(type(self), context, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

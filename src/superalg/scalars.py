@@ -9,44 +9,22 @@ by `_make`, which reduces it with one `math.gcd(a, b, d)`, skipped when
 
 The components are still available as reduced `Fraction`s through the
 read-only properties `.re` and `.im`; hot code reads the triple with
-`parts()` instead.  The hash equals `hash((x.re, x.im))` but is computed
-from the integers with CPython's rational-hash formula and cached.  Values
-are immutable; all arithmetic is exact.
+`parts()` instead.  The hash is that of the triple.  Values are immutable;
+all arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
 
-_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-def _rational_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for d > 0, without building the Fraction."""
-    if d == 1:
-        return hash(n)
-    g = gcd(n, d)
-    if g != 1:
-        n //= g
-        d //= g
-    if d % _MODULUS:
-        h = abs(n) % _MODULUS * pow(d, -1, _MODULUS) % _MODULUS
-    else:
-        h = _HASH_INF  # d has no inverse modulo the hash modulus
-    if n < 0:
-        h = -h
-    return -2 if h == -1 else h
-
 
 class GaussianRational:
-    # _t is the reduced triple (a, b, d); _hash is set on first use.
-    __slots__ = ("_t", "_hash")
+    # _t is the reduced triple (a, b, d)
+    __slots__ = ("_t",)
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
         if type(re) is int and type(im) is int:
@@ -182,13 +160,7 @@ class GaussianRational:
         return self._t == o
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            a, b, d = self._t
-            h = hash((_rational_hash(a, d), _rational_hash(b, d)))
-            _set_hash(self, h)
-            return h
+        return hash(self._t)
 
     # -- display and serialization --------------------------------------
 
@@ -251,7 +223,6 @@ def json_fraction(pair) -> Fraction:
 
 _new = object.__new__
 _set_t = GaussianRational._t.__set__
-_set_hash = GaussianRational._hash.__set__
 
 
 def _raw(a: int, b: int, d: int) -> GaussianRational:

@@ -11,10 +11,8 @@ from superalg.cli import (
     RunConfig,
     _build_parser,
     main,
-    raise_for_status,
     run,
 )
-from superalg.errors import CheckFailed
 from superalg.liealg import build_gl, dump_definition
 from superalg.scalars import gr, ONE
 
@@ -387,16 +385,14 @@ class TestDegreeCap:
 
 
 class TestLibraryUse:
-    def test_run_and_raise_for_status(self):
+    def test_run_returns_status_and_report(self):
         status, report = run(RunConfig(command="check-jacobi", algebra="gl:1,1"))
-        assert status == 0
-        raise_for_status(report)  # must not raise
+        assert status == 0 and report["pass"] is True
         status, report = run(
             RunConfig(command="complexify", algebra="gl:1,1", ideal=[1])
         )
-        assert status == 1
-        with pytest.raises(CheckFailed):
-            raise_for_status(report)
+        assert status == 1 and report["pass"] is False
+        assert [r["check"] for r in report["results"] if not r["pass"]] == ["ideal"]
 
 
 class TestEntryPoint:
@@ -690,6 +686,31 @@ class TestInputBoundary:
             (["check-jacobi"], "form-not-square", "gram matrix must be square"),
             (["check-jacobi"], "positives-out-of-range", "positives must index"),
             (["check-jacobi"], "non-square-J", "must be square"),
+            # a generator name that is not a JSON string once reached the
+            # join of the super Jacobi witness: TypeError traceback, exit 1
+            (["casimir", "--order", "2", "--check-central"], "non-jacobi-int-names",
+             "generator name must be a JSON string, got 0"),
+            (["hopf-check", "--samples", "3"], "non-jacobi-int-names",
+             "generator name must be a JSON string, got 0"),
+            (["gamma-check", "--points", "2"], "non-jacobi-int-names",
+             "generator name must be a JSON string, got 0"),
+            (["jstruct-check"], "non-jacobi-int-names",
+             "generator name must be a JSON string, got 0"),
+            (["radial", "--points", "2", "--weights", "6"], "non-jacobi-int-names",
+             "generator name must be a JSON string, got 0"),
+            (["build"], "non-jacobi-null-names", "generator name must be a JSON string, got None"),
+            # a table that is not super-antisymmetric: from_json is the one
+            # structure check left in front of these commands
+            (["hopf-check", "--samples", "3"], "antisymmetry",
+             "invalid structure table: (E21, E11)"),
+            (["casimir", "--order", "2", "--check-central"], "antisymmetry",
+             "invalid structure table: (E21, E11)"),
+            (["gamma-check", "--points", "2"], "antisymmetry",
+             "invalid structure table: (E21, E11)"),
+            (["radial", "--points", "2", "--weights", "6"], "antisymmetry",
+             "invalid structure table: (E21, E11)"),
+            (["jstruct-check"], "antisymmetry", "invalid structure table: (E21, E11)"),
+            (["complexify"], "antisymmetry", "invalid structure table: (E21, E11)"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -704,7 +725,7 @@ class TestInputBoundary:
         elif definition.startswith("J-entry-"):
             real, j = realify(g)
             data = dump_definition(real, j_matrix=j.matrix)
-        elif definition == "non-jacobi":
+        elif definition.startswith("non-jacobi"):
             data = non_jacobi_gl11()
         elif definition == "no-generators":
             data = {
@@ -779,6 +800,14 @@ class TestInputBoundary:
             data["root_system"]["roots"][0]["index"] = 0.0
         elif definition == "positive-float":
             data["root_system"]["positives"] = [1.0]
+        elif definition.endswith("-names"):
+            for k, gen in enumerate(data["generators"]):
+                gen["name"] = k if definition == "non-jacobi-int-names" else None
+        elif definition == "antisymmetry":
+            # [E11, E21] given equal to [E21, E11] instead of its negative
+            i11, i21 = g.names.index("E11"), g.names.index("E21")
+            ent = next(b for b in data["brackets"] if {b["i"], b["j"]} == {i11, i21})
+            data["brackets"].append({"i": ent["j"], "j": ent["i"], "result": ent["result"]})
         if "-entry-" in definition:
             key, encoding = definition.split("-entry-")
             data[key][0][0] = {

@@ -12,7 +12,7 @@ from superalg.jstruct import (
     realify,
     validate_J,
 )
-from superalg.liealg import LieSuperalgebra, check_jacobi
+from superalg.liealg import LieSuperalgebra, check_jacobi, check_structure
 from superalg.scalars import gr, I, ONE, ZERO
 
 
@@ -141,6 +141,8 @@ class TestComplexify:
         pair = complexify(g, ())
         real, j = realify(pair.algebra)
         assert real.dim == 2 * g.dim
+        # realify's table is trusted, not re-checked when it is built
+        assert check_structure(real)["pass"]
         assert check_jacobi(real)["pass"]
         assert validate_J(real, j)["pass"]
 
@@ -151,6 +153,7 @@ class TestComplexify:
         pair = complexify(g, [z])
         assert pair.algebra.dim == g.dim - 1
         assert pair.jacobi_report["pass"]
+        assert check_structure(pair.algebra)["pass"]
         # brackets among surviving generators are untouched mod the ideal
         q = pair.algebra
         e12, e21 = q.names.index("E12"), q.names.index("E21")

@@ -56,7 +56,7 @@ def jacobi_broken_gl11():
     table = dict(g.table)
     for key in ((i11, i12), (i12, i11)):
         table[key] = {k: c * 2 for k, c in table[key].items()}
-    return LieSuperalgebra(g.names, g.parities, table, validate=False)
+    return LieSuperalgebra(g.names, g.parities, table)
 
 
 def merged_items(r, dim, count, max_len, coeff):
