@@ -239,7 +239,7 @@ def _gamma_row(rep: dict) -> dict:
 def _cmd_gamma(config: RunConfig):
     g, form, rs, _ = _load_algebra(config, need_form=True, need_roots=True, need_lie=True)
     points = regular_points(rs, config.points, config.seed)
-    rep = check_gamma_oracle(rs, form, points)
+    rep = check_gamma_oracle(SmashAlgebra(g, rs), form, points)
     results = [_gamma_row(rep)]
     values = {
         "sign": rep["sign"],
@@ -256,7 +256,7 @@ def _cmd_radial(config: RunConfig):
     if config.weights < need:
         raise ParseError(f"--weights must be at least {need} for torus rank {rs.rank}")
     points = regular_points(rs, config.points, config.seed)
-    gamma_rep = check_gamma_oracle(rs, form, points)
+    gamma_rep = check_gamma_oracle(SmashAlgebra(g, rs), form, points)
     results = [_gamma_row(gamma_rep)]
     values = {
         "gamma_check": {

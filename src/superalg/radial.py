@@ -10,7 +10,8 @@ over a type I root system is
 which is exact in half-weight coordinates because each sinh is a Laurent
 binomial.  The Berezinian of the Jacobian in the Cartan + root-vector frame
 equals this closed form times i^|R1|, which is +-1 because odd roots come
-in +/- pairs; a change of frame is a similarity and cannot alter it.
+in +/- pairs; a change of frame is a similarity and cannot alter it.  The
+Jacobian is read off conjugation in the smash algebra (smash.jacobian_at).
 
 j is a scalar-free square root of gamma, taken term by term from its
 numerator and denominator polynomials (torus.sqrt_scalar_free).  With
@@ -47,7 +48,7 @@ from .liealg import QuadraticForm, RootSystem
 from .linalg import rref
 from .pbw import casimir2, project_to_cartan
 from .scalars import GaussianRational, I, ZERO, gr
-from .smash import check_frame, gamma_via_sdet
+from .smash import SmashAlgebra, check_frame, gamma_via_sdet
 from .torus import LaurentPoly, TorusRational, sinh_half, sqrt_scalar_free
 
 
@@ -72,7 +73,7 @@ def gamma_closed_form(rs: RootSystem) -> TorusRational:
     return gamma
 
 
-def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
+def check_gamma_oracle(alg: SmashAlgebra, form: QuadraticForm, points) -> dict:
     """Compare the closed form against the Jacobian superdeterminant at the
     given torus points; pass iff sdet = sign * closed at every regular
     point, where sign = i^|R1| = (-1)^|R1+| is the frame constant of the
@@ -89,6 +90,7 @@ def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
     not pass."""
     if not points:
         raise ValueError("no points to check")
+    rs = alg.rs
     check_frame(rs, form)
     gamma = gamma_closed_form(rs)
     sign = (-1) ** len(rs.odd_positives)
@@ -97,7 +99,7 @@ def check_gamma_oracle(rs: RootSystem, form: QuadraticForm, points) -> dict:
         den_val = gamma.den.eval(point.coords)
         closed_singular = den_val.is_zero()
         try:
-            sdet_val = gamma_via_sdet(rs, point)
+            sdet_val = gamma_via_sdet(alg, point)
         except SingularOddBlock:
             sdet_val = None
         ent = {"point": point.to_json(), "singular": closed_singular or sdet_val is None}

@@ -9,7 +9,8 @@ by `_make`, which reduces it with one `math.gcd(a, b, d)`, skipped when
 
 The components are still available as reduced `Fraction`s through the
 read-only properties `.re` and `.im`; hot code reads the triple with
-`parts()` instead.  The hash is that of the triple.  Values are immutable;
+`parts()` instead.  A real value hashes like the equal `Fraction` (and so
+like an equal `int`), any other like its triple.  Values are immutable;
 all arithmetic is exact.
 """
 
@@ -160,7 +161,8 @@ class GaussianRational:
         return self._t == o
 
     def __hash__(self):
-        return hash(self._t)
+        a, b, d = self._t
+        return hash(self._t) if b else hash(Fraction(a, d))
 
     # -- display and serialization --------------------------------------
 

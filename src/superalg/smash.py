@@ -41,6 +41,10 @@ Ad scalar for an identity point on the right or an empty monomial on the
 left, no torus product with the identity, and no PBW rewriting when either
 monomial is empty.
 
+Conjugation is taken through the product as well (conjugation_pullback),
+and jacobian_at reads the gamma oracle's Jacobian off it, so its Ad scalars
+are those of the product rule that check_hopf_axioms certifies.
+
 The antipode axioms m (Id x s) Delta(u) and m (s x Id) Delta(u) need the
 same antipodes: Delta(a # m) splits m into complementary sub-monomials at
 the one point a, so the left legs and the right legs of Delta(u) form one
@@ -590,43 +594,24 @@ def conjugation_pullback(
     mon_b: Monomial,
 ) -> SmashElement:
     """Pushforward of conjugation (first argument conjugated by the second)
-    on tensors of degree <= 1:
+    on tensors of degree <= 1, in the smash algebra: with x = a # X_a,
 
-        (a # X_a, b # X_b) |->
-            psi(a,b) # Ad(b)( X_a X_b - (-1)^{|X_a||X_b|} Ad(a^-1)(X_b) X_a )
+        (a # X_a, b # X_b) |-> (b # 1) [x, e # X_b] (b^-1 # 1)
 
-    for X_b a generator, and psi(a,b) # Ad(b)(X_a) when X_b = 1.  On the
-    torus psi(a,b) = b a b^-1 = a.
-    """
+    for X_b a generator, [x, y] = xy - (-1)^{|x||y|} yx, and
+    (b # 1) x (b^-1 # 1) when X_b = 1.  Ad(e) = Id, so for b = e the middle
+    factor is the result."""
     mon_a, mon_b = tuple(mon_a), tuple(mon_b)
     if monomial_degree(mon_a) > 1 or monomial_degree(mon_b) > 1:
         raise DegreeTooHigh("conjugation pullback takes monomials of degree <= 1")
-    point = a  # torus is abelian
-    g = alg.g
-    if not mon_b:
-        if not mon_a:
-            return SmashElement(alg, {(point, ()): ONE})
-        scale = alg.ad_monomial(b, mon_a)
-        return SmashElement(alg, {(point, mon_a): scale})
-    xb = mon_b[0][0]
-    items = []
-    # X_a X_b
-    word1 = word_of(mon_a) + (xb,)
-    items.append((word1, alg.ad_monomial(b, mon_a) * ad_eigenvalue(alg.rs, b.coords, xb)))
-    # -(-1)^{|X_a||X_b|} Ad(a^-1)(X_b) X_a
-    pa = monomial_parity(mon_a, g.parities)
-    pb = g.parities[xb]
-    sign = ONE if (pa and pb) else _MINUS_ONE
-    scale2 = (
-        ad_eigenvalue(alg.rs, a.inverse().coords, xb)
-        * ad_eigenvalue(alg.rs, b.coords, xb)
-        * alg.ad_monomial(b, mon_a)
-        * sign
-    )
-    word2 = (xb,) + word_of(mon_a)
-    items.append((word2, scale2))
-    prod = normalize_terms(g, items)
-    return SmashElement(alg, {(point, mon): c for mon, c in prod.items()})
+    x = alg.element(a, mon_a)
+    if mon_b:
+        y = alg.primitive(mon_b[0][0])
+        odd = monomial_parity(mon_a, alg.g.parities) and alg.g.parities[mon_b[0][0]]
+        x = x * y + y * x if odd else x * y - y * x
+    if b.is_identity():
+        return x
+    return alg.group_like(b) * x * alg.group_like(b.inverse())
 
 
 def _root_orders(rs: RootSystem):
@@ -636,20 +621,26 @@ def _root_orders(rs: RootSystem):
     return list(rs.cartan) + even_ids, odd_ids
 
 
-def jacobian_at(rs: RootSystem, a: TorusElement) -> SuperMatrix:
-    """Linearization of conjugation by the torus point a at (a, e), in the
-    Cartan + root-vector frame: identity on the Cartan, 1 - Ad(a^-1)
-    eigenvalue on each root line; off-diagonal blocks vanish."""
-    even_ids, odd_ids = _root_orders(rs)
-    ainv = a.inverse()
-    evens = []
-    for idx in even_ids:
-        if idx in rs.cartan:
-            evens.append(ONE)
-        else:
-            evens.append(ONE - ad_eigenvalue(rs, ainv.coords, idx))
-    odds = [ONE - ad_eigenvalue(rs, ainv.coords, idx) for idx in odd_ids]
-    return SuperMatrix.diagonal(evens, odds)
+def jacobian_at(alg: SmashAlgebra, a: TorusElement) -> SuperMatrix:
+    """Linearization of conjugation at (a, e), read off conjugation_pullback
+    in the Cartan + root-vector frame of _root_orders: the column of a
+    Cartan generator H is the image of (a # H, e # 1), that of a root
+    vector X the image of (a # 1, e # X).  Each image is a sum of terms
+    a # X' with X' a generator of the column's parity, so the columns fill
+    the two dense even blocks."""
+    e = TorusElement.identity(alg.t)
+    blocks = []
+    for ids in _root_orders(alg.rs):
+        row = {idx: k for k, idx in enumerate(ids)}
+        block = [[ZERO] * len(ids) for _ in ids]
+        for col, idx in enumerate(ids):
+            gen = ((idx, 1),)
+            mon_a, mon_b = (gen, ()) if idx in alg.rs.cartan else ((), gen)
+            image = conjugation_pullback(alg, a, mon_a, e, mon_b)
+            for (_, mon), c in image.terms.items():
+                block[row[mon[0][0]]][col] = c
+        blocks.append(block)
+    return SuperMatrix(*blocks)
 
 
 def orthosymplectic_frame(rs: RootSystem, form: QuadraticForm):
@@ -722,11 +713,11 @@ def check_frame(rs: RootSystem, form: QuadraticForm) -> None:
         raise DegenerateForm("frame does not make the odd form symplectic")
 
 
-def gamma_via_sdet(rs: RootSystem, a: TorusElement) -> GaussianRational:
+def gamma_via_sdet(alg: SmashAlgebra, a: TorusElement) -> GaussianRational:
     """Berezinian of the conjugation Jacobian at (a, e) in the Cartan +
     root-vector frame.  A change of frame is a similarity, which leaves the
     Berezinian unchanged, so no other frame gives a different value.
 
     Raises SingularOddBlock when some odd root has Ad eigenvalue 1 (the
     point lies outside the generic locus)."""
-    return jacobian_at(rs, a).berezinian()
+    return jacobian_at(alg, a).berezinian()

@@ -8,9 +8,9 @@ A SuperMatrix of shape (p|q) stores its two even blocks
 An even supermatrix has odd entries in its off-diagonal blocks.  The
 scalars here are Q(i) or torus functions, which are all even, so the only
 odd entry is 0 and the off-diagonal blocks vanish: two blocks are the
-whole matrix.  The identity and diagonal constructors fill the blocks
-with scalars.ZERO and scalars.ONE; torus-function entries still work,
-since their operators coerce a Q(i) scalar operand.  The Berezinian is
+whole matrix.  The identity constructor fills the blocks with
+scalars.ZERO and scalars.ONE; torus-function entries still work, since
+their operators coerce a Q(i) scalar operand.  The Berezinian is
 det(A) / det(D) and requires the odd-odd block D to be invertible.
 """
 
@@ -53,15 +53,6 @@ class SuperMatrix:
     @classmethod
     def identity(cls, p, q):
         return cls(identity(p), identity(q))
-
-    @classmethod
-    def diagonal(cls, evens, odds):
-        a, d = identity(len(evens)), identity(len(odds))
-        for i, v in enumerate(evens):
-            a[i][i] = v
-        for j, v in enumerate(odds):
-            d[j][j] = v
-        return cls(a, d)
 
     # -- algebra ------------------------------------------------------------
 

@@ -123,14 +123,14 @@ def test_05_gamma_formula():
         for mn, seed in [((1, 1), 51), ((2, 1), 52)]:
             g, form, rs = build_gl(*mn)
             pts = regular_points(rs, 20, seed)
-            rep = check_gamma_oracle(rs, form, pts)
+            rep = check_gamma_oracle(SmashAlgebra(g, rs), form, pts)
             assert rep["pass"]
             assert rep["sign"] in (1, -1)
         # pinned spot value: |gamma| at a = (2, 1) on gl(1|1) is exactly 4/9
         g, form, rs = build_gl(1, 1)
         a = TorusElement((gr(2), gr(1)))
         closed = gamma_closed_form(rs).eval(a.coords)
-        sdet = gamma_via_sdet(rs, a)
+        sdet = gamma_via_sdet(SmashAlgebra(g, rs), a)
         assert closed == gr(Fraction(4, 9))
         assert sdet in (gr(Fraction(4, 9)), gr(Fraction(-4, 9)))
 
@@ -139,18 +139,20 @@ def test_06_singular_locus():
     with Budget(6, "singular-locus", 5.0):
         cases = []
         g1, f1, rs1 = build_gl(1, 1)
+        alg1 = SmashAlgebra(g1, rs1)
         for t in (1, 2, 3, Fraction(1, 2)):
-            cases.append((rs1, f1, (gr(t), gr(t))))
-            cases.append((rs1, f1, (gr(t), gr(-t))))
+            cases.append((alg1, (gr(t), gr(t))))
+            cases.append((alg1, (gr(t), gr(-t))))
         g2, f2, rs2 = build_gl(2, 1)
+        alg2 = SmashAlgebra(g2, rs2)
         for t in (2, Fraction(1, 3)):
-            cases.append((rs2, f2, (gr(t), gr(5), gr(t))))
+            cases.append((alg2, (gr(t), gr(5), gr(t))))
         assert len(cases) >= 10
-        for rs, form, coords in cases:
-            gamma = gamma_closed_form(rs)
+        for alg, coords in cases:
+            gamma = gamma_closed_form(alg.rs)
             assert gamma.den.eval(coords).is_zero()
             with pytest.raises(SingularOddBlock):
-                gamma_via_sdet(rs, TorusElement(coords))
+                gamma_via_sdet(alg, TorusElement(coords))
 
 
 def test_07_eigenfunction_hypothesis():

@@ -515,7 +515,7 @@ class TestCheckFailures:
         import superalg.radial as radial
 
         real = radial.gamma_via_sdet
-        monkeypatch.setattr(radial, "gamma_via_sdet", lambda rs, a: real(rs, a) * 3)
+        monkeypatch.setattr(radial, "gamma_via_sdet", lambda alg, a: real(alg, a) * 3)
         status, rep = run_main(
             [command, "--algebra", "gl:1,1", "--points", "4", "--seed", "3"], capsys
         )
@@ -535,7 +535,7 @@ class TestCheckFailures:
         import superalg.radial as radial
 
         real = radial.gamma_via_sdet
-        monkeypatch.setattr(radial, "gamma_via_sdet", lambda rs, a: -real(rs, a))
+        monkeypatch.setattr(radial, "gamma_via_sdet", lambda alg, a: -real(alg, a))
         status, rep = run_main(
             ["gamma-check", "--algebra", algebra, "--points", "6", "--seed", "1"], capsys
         )

@@ -58,6 +58,26 @@ class TestValidateJ:
         assert rep["check"] == "J-linearity"
         assert rep["witness"] is not None
 
+    def test_witness_is_the_first_pair_where_ad_fails_to_commute_with_J(self, bad_j_gl11):
+        # [X_a, J X_b] = J [X_a, X_b] from the matrix entries, pair by pair
+        g, j = bad_j_gl11
+        n = g.dim
+
+        def commutes(a, b):
+            lhs, rhs = [ZERO] * n, [ZERO] * n
+            for k in range(n):
+                for t, c in g.bracket(a, k).items():
+                    lhs[t] = lhs[t] + j.matrix[k][b] * c
+            for k, c in g.bracket(a, b).items():
+                for t in range(n):
+                    rhs[t] = rhs[t] + j.matrix[t][k] * c
+            return lhs == rhs
+
+        failing = [(a, b) for a in range(n) for b in range(n) if not commutes(a, b)]
+        assert failing
+        a, b = failing[0]
+        assert validate_J(g, j)["witness"] == [g.names[a], g.names[b]]
+
     def test_j_square_violation_is_reported(self, abelian_rotation):
         g, _ = abelian_rotation
         not_acs = JStructure([[ONE, ZERO], [ZERO, ONE]])

@@ -22,7 +22,7 @@ from superalg.radial import (
 )
 from superalg.sampling import rand_torus_coords, regular_points, rng
 from superalg.scalars import gr, I, ONE
-from superalg.smash import TorusElement, gamma_via_sdet
+from superalg.smash import SmashAlgebra, TorusElement, gamma_via_sdet
 from superalg.torus import TorusRational, cosh_half, sinh_half, sqrt_scalar_free
 
 
@@ -104,22 +104,22 @@ class TestGammaClosedForm:
 
 class TestGammaOracle:
     def test_gl11_points(self, gl11):
-        _, form, rs = gl11
+        g, form, rs = gl11
         pts = regular_points(rs, 20, seed=100)
-        rep = check_gamma_oracle(rs, form, pts)
+        rep = check_gamma_oracle(SmashAlgebra(g, rs), form, pts)
         assert rep["pass"]
         assert rep["sign"] in (1, -1)
 
     def test_no_points_is_refused(self, gl11):
-        _, form, rs = gl11
+        g, form, rs = gl11
         for pts in ([], ()):
             with pytest.raises(ValueError):
-                check_gamma_oracle(rs, form, pts)
+                check_gamma_oracle(SmashAlgebra(g, rs), form, pts)
 
     def test_gl21_points(self, gl21):
-        _, form, rs = gl21
+        g, form, rs = gl21
         pts = regular_points(rs, 20, seed=101)
-        rep = check_gamma_oracle(rs, form, pts)
+        rep = check_gamma_oracle(SmashAlgebra(g, rs), form, pts)
         assert rep["pass"]
 
     def test_global_sign_is_i_to_odd_count(self, gl11, gl21, gl22):
@@ -128,21 +128,22 @@ class TestGammaOracle:
         # closed/sdet = (-4)^{|R0+|} / (i^|R0| 2^|R0|) style bookkeeping
         # collapses to exactly that factor
         for bundle, seed in ((gl11, 31), (gl21, 32), (gl22, 33)):
-            _, form, rs = bundle
+            g, form, rs = bundle
             pts = regular_points(rs, 5, seed)
-            rep = check_gamma_oracle(rs, form, pts)
+            rep = check_gamma_oracle(SmashAlgebra(g, rs), form, pts)
             assert rep["pass"]
             predicted = 1 if len(rs.odd_roots) % 4 == 0 else -1
             assert rep["sign"] == predicted
 
     def test_single_global_sign(self, gl11):
-        _, form, rs = gl11
+        g, form, rs = gl11
+        alg = SmashAlgebra(g, rs)
         gamma = gamma_closed_form(rs)
         pts = regular_points(rs, 10, seed=7)
         sigma = None
         for a in pts:
             closed = gamma.eval(a.coords)
-            sdet = gamma_via_sdet(rs, a)
+            sdet = gamma_via_sdet(alg, a)
             if closed.is_zero():
                 continue
             this = closed / sdet
@@ -151,18 +152,18 @@ class TestGammaOracle:
         assert sigma in (gr(1), gr(-1))
 
     def test_singular_point_skipped_with_notice(self, gl11):
-        _, form, rs = gl11
+        g, form, rs = gl11
         pts = [TorusElement((gr(2), gr(1))), TorusElement((gr(1), gr(1)))]
-        rep = check_gamma_oracle(rs, form, pts)
+        rep = check_gamma_oracle(SmashAlgebra(g, rs), form, pts)
         assert rep["pass"]
         assert rep["skipped"] == 1
         assert rep["points"][1]["singular"]
 
     def test_every_point_skipped_fails(self, gl11):
         # (1, 1) and (-1, 1) give the odd roots Ad eigenvalue 1: nothing is compared
-        _, form, rs = gl11
+        g, form, rs = gl11
         pts = [TorusElement((gr(1), gr(1))), TorusElement((gr(-1), gr(1)))]
-        rep = check_gamma_oracle(rs, form, pts)
+        rep = check_gamma_oracle(SmashAlgebra(g, rs), form, pts)
         assert rep["pass"] is False
         assert rep["skipped"] == 2 and rep["sign"] == -1
         assert all(e["agree"] for e in rep["points"])
@@ -173,10 +174,10 @@ class TestGammaOracle:
         import superalg.radial as radial
 
         real = radial.gamma_via_sdet
-        monkeypatch.setattr(radial, "gamma_via_sdet", lambda rs, a: -real(rs, a))
+        monkeypatch.setattr(radial, "gamma_via_sdet", lambda alg, a: -real(alg, a))
         for bundle, seed in ((gl11, 31), (gl21, 32), (gl22, 33)):
-            _, form, rs = bundle
-            rep = check_gamma_oracle(rs, form, regular_points(rs, 5, seed))
+            g, form, rs = bundle
+            rep = check_gamma_oracle(SmashAlgebra(g, rs), form, regular_points(rs, 5, seed))
             assert rep["pass"] is False
             assert rep["sign"] == (-1) ** len(rs.odd_positives)
             # only the points on gamma's zero locus still agree, as 0 = -0
@@ -187,20 +188,22 @@ class TestGammaOracle:
         # points with an odd root eigenvalue 1: the superdeterminant raises
         # and the closed form's denominator vanishes, at every such point
         cases = []
-        _, form1, rs1 = gl11
+        g1, _, rs1 = gl11
+        alg1 = SmashAlgebra(g1, rs1)
         for t in (1, 2, 3, Fraction(1, 2), -1):
-            cases.append((rs1, form1, (gr(t), gr(t))))       # z1 = z2
-            cases.append((rs1, form1, (gr(t), gr(-t))))      # z1 = -z2
-        _, form2, rs2 = gl21
+            cases.append((alg1, (gr(t), gr(t))))       # z1 = z2
+            cases.append((alg1, (gr(t), gr(-t))))      # z1 = -z2
+        g2, _, rs2 = gl21
+        alg2 = SmashAlgebra(g2, rs2)
         for t in (2, 3):
-            cases.append((rs2, form2, (gr(t), gr(5), gr(t))))   # z1 = z3
-            cases.append((rs2, form2, (gr(7), gr(t), gr(t))))   # z2 = z3
+            cases.append((alg2, (gr(t), gr(5), gr(t))))   # z1 = z3
+            cases.append((alg2, (gr(7), gr(t), gr(t))))   # z2 = z3
         assert len(cases) >= 10
-        for rs, form, coords in cases:
-            gamma = gamma_closed_form(rs)
+        for alg, coords in cases:
+            gamma = gamma_closed_form(alg.rs)
             assert gamma.den.eval(coords).is_zero()
             with pytest.raises(SingularOddBlock):
-                gamma_via_sdet(rs, TorusElement(coords))
+                gamma_via_sdet(alg, TorusElement(coords))
 
 
 class TestRadialOperator:

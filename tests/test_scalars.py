@@ -74,6 +74,10 @@ def test_hash_consistency():
     assert hash(gr(Fraction(1, 2))) == hash(gr(Fraction(2, 4)))
     d = {gr(1, 2): "x"}
     assert d[gr(1, 2)] == "x"
+    # a real scalar equals its int or Fraction, so it must hash like it
+    assert hash(gr(1)) == hash(1)
+    assert hash(gr(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert {1: "a"}.get(gr(1)) == "a"
 
 
 def test_interop_with_int_and_fraction():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 from fractions import Fraction
 
@@ -11,7 +12,14 @@ from superalg.errors import (
     SingularOddBlock,
     ZeroTorusCoordinate,
 )
-from superalg.liealg import QuadraticForm, RootSystem, ad_eigenvalue, build_gl
+from superalg.liealg import (
+    QuadraticForm,
+    RootSystem,
+    ad_eigenvalue,
+    build_gl,
+    dump_definition,
+    load_definition,
+)
 from superalg.linalg import add_term, inv, mat_mul
 from superalg.pbw import monomial_parity, normalize_terms, pbw_normalize, word_of
 from superalg.sampling import (
@@ -45,11 +53,11 @@ from superalg.smash import (
 from superalg.supermatrix import SuperMatrix
 
 
-def framed_berezinian(rs, form, a):
+def framed_berezinian(alg, form, a):
     """Berezinian of F^-1 J F, J the Jacobian at a and F the
     orthosymplectic frame."""
-    jac = jacobian_at(rs, a)
-    fe, fo = orthosymplectic_frame(rs, form)
+    jac = jacobian_at(alg, a)
+    fe, fo = orthosymplectic_frame(alg.rs, form)
     a_block = mat_mul(mat_mul(inv(fe), jac.a), fe)
     d_block = mat_mul(mat_mul(inv(fo), jac.d), fo)
     return SuperMatrix(a_block, d_block).berezinian()
@@ -678,6 +686,55 @@ class TestHopfChecksCatchDefects:
         assert caught == names
 
 
+# The hand-derived conjugation_pullback that the smash-product commutator
+# replaced, kept as the oracle: Ad scalars and the Koszul sign written out.
+
+
+def hand_conjugation_pullback(alg, a, mon_a, b, mon_b):
+    """psi(a,b) # Ad(b)(X_a X_b - (-1)^{|X_a||X_b|} Ad(a^-1)(X_b) X_a) for
+    X_b a generator, psi(a,b) # Ad(b)(X_a) when X_b = 1; psi(a,b) = a."""
+    g = alg.g
+    if not mon_b:
+        if not mon_a:
+            return SmashElement(alg, {(a, ()): ONE})
+        return SmashElement(alg, {(a, mon_a): alg.ad_monomial(b, mon_a)})
+    xb = mon_b[0][0]
+    ad_b_xb = ad_eigenvalue(alg.rs, b.coords, xb)
+    ad_b_xa = alg.ad_monomial(b, mon_a)
+    sign = ONE if monomial_parity(mon_a, g.parities) and g.parities[xb] else gr(-1)
+    items = [
+        (word_of(mon_a) + (xb,), ad_b_xa * ad_b_xb),
+        ((xb,) + word_of(mon_a),
+         ad_eigenvalue(alg.rs, a.inverse().coords, xb) * ad_b_xb * ad_b_xa * sign),
+    ]
+    prod = normalize_terms(g, items)
+    return SmashElement(alg, {(a, mon): c for mon, c in prod.items()})
+
+
+def diagonal_jacobian(rs, a):
+    """The hand-written Jacobian that jacobian_at replaced, kept as the
+    oracle: 1 on the Cartan, 1 - Ad(a^-1) on each root line, exact zeros
+    off the diagonal, in the frame Cartan + even roots | odd roots."""
+    ainv = a.inverse().coords
+    evens = [ONE] * rs.rank + [ONE - ad_eigenvalue(rs, ainv, r.index) for r in rs.even_roots]
+    odds = [ONE - ad_eigenvalue(rs, ainv, r.index) for r in rs.odd_roots]
+    return SuperMatrix(
+        [[v if i == j else ZERO for j in range(len(evens))] for i, v in enumerate(evens)],
+        [[v if i == j else ZERO for j in range(len(odds))] for i, v in enumerate(odds)],
+    )
+
+
+def singular_points(rs, a):
+    """Points on root loci made from a: the identity, z_1 = z_last (the odd
+    root eps_1 - delta_n of gl(m|n) has eigenvalue 1) and, when there are
+    even roots, z_1 = z_2 (so has the root of weight e_1 - e_2)."""
+    z = list(a.coords)
+    out = [TorusElement.identity(rs.rank), TorusElement(z[:-1] + z[:1])]
+    if rs.even_roots:
+        out.append(TorusElement(z[:1] + z[:1] + z[2:]))
+    return out
+
+
 class TestConjugationPullback:
     def test_both_units(self, alg11):
         a = TorusElement((gr(2), gr(1)))
@@ -727,29 +784,60 @@ class TestConjugationPullback:
         with pytest.raises(DegreeTooHigh):
             conjugation_pullback(alg11, a, ((i21, 1), (i12, 1)), a, ())
 
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_matches_the_hand_derived_map(self, mn):
+        # every pair of degree <= 1 arguments, at three seeded (a, b) pairs
+        # and at b = e, where the middle factor is returned
+        g, _, rs = build_gl(*mn)
+        alg = SmashAlgebra(g, rs)
+        mons = [()] + [((i, 1),) for i in range(g.dim)]
+        r = rng(700 + 10 * mn[0] + mn[1])
+        pairs = [
+            (TorusElement(rand_torus_coords(r, rs.rank)), TorusElement(rand_torus_coords(r, rs.rank)))
+            for _ in range(3)
+        ]
+        pairs.append((pairs[0][0], TorusElement.identity(rs.rank)))
+        for a, b in pairs:
+            for mon_a in mons:
+                for mon_b in mons:
+                    assert conjugation_pullback(alg, a, mon_a, b, mon_b) == (
+                        hand_conjugation_pullback(alg, a, mon_a, b, mon_b)
+                    ), (a, mon_a, b, mon_b)
+
 
 class TestJacobian:
-    def test_identity_point(self, gl11):
-        _, _, rs = gl11
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), "file"])
+    def test_matches_the_diagonal_oracle(self, mn):
+        # the gl(2|1) definition file reads its tables back from JSON
+        if mn == "file":
+            loaded = load_definition(json.dumps(dump_definition(*build_gl(2, 1))))
+            g, rs = loaded["algebra"], loaded["root_system"]
+        else:
+            g, _, rs = build_gl(*mn)
+        alg = SmashAlgebra(g, rs)
+        regular = regular_points(rs, 3, seed=17)
+        for a in regular + singular_points(rs, regular[0]):
+            assert jacobian_at(alg, a) == diagonal_jacobian(rs, a), a
+
+    def test_identity_point(self, alg11):
         e = TorusElement.identity(2)
-        jac = jacobian_at(rs, e)
+        jac = jacobian_at(alg11, e)
         assert all(jac.a[i][i] == ONE for i in range(jac.p))
         assert all(jac.d[i][i] == ZERO for i in range(jac.q))
         with pytest.raises(SingularOddBlock):
-            gamma_via_sdet(rs, e)
+            gamma_via_sdet(alg11, e)
 
-    def test_gl11_example_point(self, gl11):
-        _, form, rs = gl11
+    def test_gl11_example_point(self, alg11):
         a = TorusElement((gr(2), gr(1)))
-        jac = jacobian_at(rs, a)
+        jac = jacobian_at(alg11, a)
         odd_diag = {str(jac.d[i][i]) for i in range(jac.q)}
         assert odd_diag == {"-3", "3/4"}  # 1-4 and 1-1/4
 
-    def test_block_diagonal_across_cartan_and_roots(self, gl21):
-        g, form, rs = gl21
+    def test_block_diagonal_across_cartan_and_roots(self, alg21):
         r = rng(31)
         a = TorusElement(rand_torus_coords(r, 3))
-        jac = jacobian_at(rs, a)
+        jac = jacobian_at(alg21, a)
+        rs = alg21.rs
         # Cartan block is exactly the identity
         for i in range(rs.rank):
             for j in range(jac.p):
@@ -763,8 +851,8 @@ class TestJacobian:
             for root in rs.roots:
                 assert form.b(h, root.index) == ZERO
 
-    def test_full_rank_iff_no_unit_eigenvalue(self, gl21):
-        g, form, rs = gl21
+    def test_full_rank_iff_no_unit_eigenvalue(self, alg21):
+        rs = alg21.rs
         r = rng(61)
         seen_regular = seen_singular = False
         for _ in range(60):
@@ -773,7 +861,7 @@ class TestJacobian:
             unit_ev = any(
                 ad_eigenvalue(rs, coords, root.index) == ONE for root in rs.roots
             )
-            jac = jacobian_at(rs, a)
+            jac = jacobian_at(alg21, a)
             from superalg.linalg import det
 
             full_rank = not (det(jac.a) * det(jac.d)).is_zero()
@@ -783,10 +871,80 @@ class TestJacobian:
         assert seen_regular and seen_singular
 
 
+def _unscaled_term_product(real):
+    """_term_product with its Ad scale forced to ONE: the product taken at
+    the identity on the right, then moved to the true point."""
+
+    def product(alg, t1, t2):
+        (a1, m1), (a2, m2) = t1, t2
+        out = real(alg, (a1, m1), (TorusElement.identity(alg.t), m2))
+        return {(a1 * a2, mon): c for (_, mon), c in out.items()}
+
+    return product
+
+
+def _drop_cartan_column(real):
+    """conjugation_pullback returning 0 on the first Cartan generator, so
+    the Jacobian loses that column."""
+
+    def pullback(alg, a, mon_a, b, mon_b):
+        if tuple(mon_a) == ((alg.rs.cartan[0], 1),) and not mon_b:
+            return SmashElement(alg, {})
+        return real(alg, a, mon_a, b, mon_b)
+
+    return pullback
+
+
+class TestGammaOracleCatchesDefects:
+    """Each injected defect in the Jacobian fails check_gamma_oracle.
+
+    An inverted Ad, Ad(a) where the product rule has Ad(a^-1), cannot fail
+    here: roots come in +/- pairs, so the eigenvalues of Ad(a) and Ad(a^-1)
+    on the root lines are the same multiset, and so are the Berezinians.
+    A representation-side check is where it becomes visible."""
+
+    def _reports(self, bundles):
+        from superalg.radial import check_gamma_oracle
+
+        for g, form, rs in bundles:
+            yield check_gamma_oracle(SmashAlgebra(g, rs), form, regular_points(rs, 5, seed=3))
+
+    def test_unscaled_product_makes_every_odd_block_singular(self, gl11, gl21, monkeypatch):
+        monkeypatch.setattr(smash_mod, "_term_product", _unscaled_term_product(smash_mod._term_product))
+        for rep in self._reports((gl11, gl21)):
+            assert rep["pass"] is False
+            assert all(e["singular"] and not e["agree"] for e in rep["points"])
+
+    def test_dropped_cartan_column(self, gl11, gl21, monkeypatch):
+        monkeypatch.setattr(
+            smash_mod, "conjugation_pullback", _drop_cartan_column(smash_mod.conjugation_pullback)
+        )
+        for rep in self._reports((gl11, gl21)):
+            assert rep["pass"] is False
+            assert all(e["sdet"] == gr(0).to_json() for e in rep["points"])
+
+    def test_odd_root_in_the_even_block(self, gl11, gl21, monkeypatch):
+        # only the Jacobian's frame moves; check_frame keeps the true one
+        real_orders, real_jacobian = smash_mod._root_orders, smash_mod.jacobian_at
+
+        def moved(rs):
+            even_ids, odd_ids = real_orders(rs)
+            return even_ids + odd_ids[:1], odd_ids[1:]
+
+        def jacobian(alg, a):
+            with monkeypatch.context() as m:
+                m.setattr(smash_mod, "_root_orders", moved)
+                return real_jacobian(alg, a)
+
+        monkeypatch.setattr(smash_mod, "jacobian_at", jacobian)
+        for rep in self._reports((gl11, gl21)):
+            assert rep["pass"] is False
+            assert not any(e["singular"] for e in rep["points"])
+
+
 class TestGammaSdet:
-    def test_spot_value(self, gl11):
-        _, _, rs = gl11
-        val = gamma_via_sdet(rs, TorusElement((gr(2), gr(1))))
+    def test_spot_value(self, alg11):
+        val = gamma_via_sdet(alg11, TorusElement((gr(2), gr(1))))
         assert val in (gr(Fraction(4, 9)), gr(Fraction(-4, 9)))
 
     def test_frame_is_symplectic_on_odd_part(self, gl21, b_vec):
@@ -826,22 +984,24 @@ class TestGammaSdet:
         # frame conjugation cannot change the Berezinian
         from superalg.linalg import det
 
-        _, _, rs = gl21
+        g, _, rs = gl21
+        alg = SmashAlgebra(g, rs)
         r = rng(41)
         for _ in range(10):
             a = TorusElement(rand_torus_coords(r, 3))
-            jac = jacobian_at(rs, a)
+            jac = jacobian_at(alg, a)
             try:
-                val = gamma_via_sdet(rs, a)
+                val = gamma_via_sdet(alg, a)
             except SingularOddBlock:
                 continue
             det_odd = det(jac.d)
             det_even = det(jac.a)
             assert val == det_even / det_odd
         # the Berezinian of F^-1 J F in the orthosymplectic frame agrees
-        for (_, form, rs), seed in ((gl21, 42), (gl22, 43)):
+        for (g, form, rs), seed in ((gl21, 42), (gl22, 43)):
+            alg = SmashAlgebra(g, rs)
             for a in regular_points(rs, 10, seed):
-                assert framed_berezinian(rs, form, a) == gamma_via_sdet(rs, a)
+                assert framed_berezinian(alg, form, a) == gamma_via_sdet(alg, a)
 
 
 class TestCheckFrame:

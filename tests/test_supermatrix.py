@@ -52,7 +52,7 @@ def test_identity_berezinian():
 
 
 def test_diagonal_1_1():
-    m = SuperMatrix.diagonal([gr(Fraction(3, 2))], [gr(Fraction(5, 7))])
+    m = SuperMatrix([[gr(Fraction(3, 2))]], [[gr(Fraction(5, 7))]])
     assert m.berezinian() == gr(Fraction(3, 2)) / gr(Fraction(5, 7))
 
 
@@ -71,7 +71,7 @@ def test_purely_even_and_purely_odd_shapes():
 
 def test_singular_odd_block():
     with pytest.raises(SingularOddBlock):
-        SuperMatrix.diagonal([ONE], [ZERO]).berezinian()
+        SuperMatrix([[ONE]], [[ZERO]]).berezinian()
     d = [[gr(1), gr(2)], [gr(2), gr(4)]]  # rank 1
     for a in ([[ONE, ZERO], [ZERO, ONE]], []):
         with pytest.raises(SingularOddBlock):
@@ -109,7 +109,7 @@ def test_conjugation_invariance():
 
 def test_torus_entries():
     s = sinh_half(2, (1, -1))
-    assert SuperMatrix.diagonal([s * s], [s]).berezinian() == s
+    assert SuperMatrix([[s * s]], [[s]]).berezinian() == s
     r = rng(2222)
     checked = 0
     for p, q in [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2)]:
@@ -147,7 +147,7 @@ def test_pickle_round_trip():
         assert back == m and hash(back) == hash(m)
         assert back.berezinian() == m.berezinian()
     s = sinh_half(2, (1, -1))
-    m = SuperMatrix.diagonal([s * s], [s])
+    m = SuperMatrix([[s * s]], [[s]])
     assert pickle.loads(pickle.dumps(m)).berezinian() == s
 
 
