@@ -25,6 +25,7 @@ RUNGS=(
   "hopf-check --algebra gl:3,1 --samples 30 --degree-cap 5 --seed 1"
   "hopf-check --algebra gl:1,3 --samples 40 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:2,1 --samples 150 --degree-cap 3 --seed 7"
+  "hopf-check --algebra gl:3,3 --samples 60 --degree-cap 3 --seed 1"
   "build --algebra gl:3,3"
   "build --algebra gl:1,3"
   "check-jacobi --algebra gl:3,3"

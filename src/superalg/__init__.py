@@ -22,6 +22,7 @@ from .errors import (
 from .scalars import GaussianRational, gr
 from .torus import (
     LaurentPoly,
+    TorusElement,
     TorusRational,
     cosh_half,
     sinh_half,
@@ -54,7 +55,6 @@ from .smash import (
     SmashAlgebra,
     SmashElement,
     TensorElement,
-    TorusElement,
     antipode,
     check_hopf_axioms,
     conjugation_pullback,

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateForm, ParseError, ZeroTorusCoordinate
+from .errors import DegenerateForm, ParseError
 from .linalg import add_scaled, add_term, inv
 from .scalars import GaussianRational, ONE, ZERO, gr, json_fraction, json_int
 
@@ -99,9 +99,11 @@ class LieSuperalgebra:
             if not gens:
                 raise ParseError("an algebra needs at least one generator")
             names = [g["name"] for g in gens]
-            for nm in names:
+            for k, nm in enumerate(names):
                 if type(nm) is not str:
                     raise ValueError(f"generator name must be a JSON string, got {nm!r}")
+                if nm in names[:k]:
+                    raise ParseError(f"generator name {nm!r} is repeated")
             parities = [json_int(g["parity"]) for g in gens]
             n = len(names)
             table: dict = {}
@@ -236,7 +238,7 @@ class RootSystem:
 
     Weights live in Z^t with the convention that the torus coordinate
     q_i = exp(y_i/2) acts on the root vector X_eps through the eigenvalue
-    prod_i z_i^(2 eps_i), i.e. exp(eps(Y)).
+    prod_i z_i^(2 eps_i), i.e. exp(eps(Y)): torus.TorusElement.ad(eps).
     """
 
     def __init__(self, cartan, roots, positives):
@@ -249,14 +251,10 @@ class RootSystem:
                 raise ValueError("weight length must match Cartan rank")
         if not set(self.positives) <= set(range(len(self.roots))):
             raise ValueError("positives must index into roots")
-        self._weight_of = {r.index: r for r in self.roots}
 
     @property
     def rank(self) -> int:
         return len(self.cartan)
-
-    def root_of_index(self, idx: int) -> Root | None:
-        return self._weight_of.get(idx)
 
     def _split(self, parity, positive_only):
         ids = self.positives if positive_only else range(len(self.roots))
@@ -475,24 +473,6 @@ def check_jacobi(g: LieSuperalgebra) -> dict:
                     "checked": n * n * n,
                 }
     return {"pass": True, "witness": None, "checked": n * n * n}
-
-
-def ad_eigenvalue(rs: RootSystem, coords, index: int) -> GaussianRational:
-    """Eigenvalue of Ad(a) on basis vector `index`: 1 on the Cartan part,
-    prod_i z_i^(2 eps_i) on the root vector of weight eps."""
-    for z in coords:
-        if z.is_zero():
-            raise ZeroTorusCoordinate("torus coordinates must be nonzero")
-    if index in rs.cartan:
-        return ONE
-    root = rs.root_of_index(index)
-    if root is None:
-        raise ValueError(f"basis index {index} is neither Cartan nor a root vector")
-    val = ONE
-    for z, e in zip(coords, root.weight):
-        if e:
-            val = val * z ** (2 * e)
-    return val
 
 
 def theta_dual(form: QuadraticForm) -> list:

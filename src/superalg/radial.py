@@ -49,12 +49,14 @@ from .linalg import rref
 from .pbw import casimir2, project_to_cartan
 from .scalars import GaussianRational, I, ZERO, gr
 from .smash import SmashAlgebra, check_frame, gamma_via_sdet
-from .torus import LaurentPoly, TorusRational, sinh_half, sqrt_scalar_free
+from .torus import LaurentPoly, TorusRational, sinh_binomial, sqrt_scalar_free
 
 
 @lru_cache(maxsize=1)
 def gamma_closed_form(rs: RootSystem) -> TorusRational:
-    """The closed form above as an exact torus function.
+    """The closed form above as an exact torus function: the prefactor
+    times the even sinh^2 product, over the odd one, both built as Laurent
+    polynomials and divided once.
 
     Cached for the last root system (RootSystem hashes by identity and
     TorusRational is immutable), so the gamma oracle and build_radial of
@@ -63,14 +65,14 @@ def gamma_closed_form(rs: RootSystem) -> TorusRational:
     r0 = rs.even_roots
     r1 = rs.odd_roots
     pref = gr(Fraction(2) ** (len(r0) - len(r1))) * I ** len(r0)
-    gamma = TorusRational.const(t, pref)
+    num, den = LaurentPoly.const(t, pref), LaurentPoly.one(t)
     for root in rs.even_positives:
-        s = sinh_half(t, root.weight)
-        gamma = gamma * s * s
+        s = sinh_binomial(t, root.weight)
+        num = num * s * s
     for root in rs.odd_positives:
-        s = sinh_half(t, root.weight)
-        gamma = gamma / (s * s)
-    return gamma
+        s = sinh_binomial(t, root.weight)
+        den = den * s * s
+    return TorusRational(num) / TorusRational(den)
 
 
 def check_gamma_oracle(alg: SmashAlgebra, form: QuadraticForm, points) -> dict:

@@ -3,6 +3,9 @@
 The PRNG is Python's Mersenne Twister via random.Random(seed); with a fixed
 seed every sampled object, and therefore every report, is reproducible
 byte for byte.
+
+This module imports pbw, smash and torus; smash imports it only inside
+check_hopf_axioms, which keeps the two modules out of an import cycle.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ import random
 from fractions import Fraction
 
 from .errors import SingularPoint
-from .liealg import ad_eigenvalue
+from .pbw import PBWElement, monomial_of_sorted_word, normalize_terms
 from .scalars import GaussianRational, ONE, from_parts, gr
-from .torus import LaurentPoly, TorusRational
+from .smash import SmashElement
+from .torus import LaurentPoly, TorusElement, TorusRational
 
 # small nonzero values used for torus coordinates; chosen so products and
 # quotients stay small while still exercising non-unit denominators
@@ -57,8 +61,6 @@ def regular_points(rs, count: int, seed: int) -> list:
     """count torus points drawn from random.Random(seed), each with every
     odd root's Ad eigenvalue different from 1; a draw that fails is
     skipped.  SingularPoint after 200 draws per point asked for."""
-    from .smash import TorusElement
-
     r = rng(seed)
     points = []
     guard = 0
@@ -69,9 +71,9 @@ def regular_points(rs, count: int, seed: int) -> list:
                 f"no regular torus point in {200 * count} draws: each had "
                 "an odd root with Ad eigenvalue 1"
             )
-        coords = rand_torus_coords(r, rs.rank)
-        if all(ad_eigenvalue(rs, coords, root.index) != ONE for root in rs.odd_roots):
-            points.append(TorusElement(coords))
+        point = TorusElement(rand_torus_coords(r, rs.rank))
+        if all(point.ad(root.weight) != ONE for root in rs.odd_roots):
+            points.append(point)
     return points
 
 
@@ -105,8 +107,6 @@ def rand_word(r: random.Random, dim: int, max_len: int = 4, min_len: int = 0):
 
 
 def rand_pbw_element(alg, r: random.Random, max_terms: int = 3, max_len: int = 3):
-    from .pbw import PBWElement, normalize_terms
-
     items = []
     for _ in range(r.randint(1, max_terms)):
         items.append((rand_word(r, alg.dim, max_len), rand_scalar(r)))
@@ -115,8 +115,6 @@ def rand_pbw_element(alg, r: random.Random, max_terms: int = 3, max_len: int = 3
 
 def rand_monomial(alg, r: random.Random, degree_cap: int = 2):
     """Random PBW normal monomial of bounded degree."""
-    from .pbw import monomial_of_sorted_word
-
     deg = r.randint(0, degree_cap)
     gens = sorted(r.choices(range(alg.dim), k=deg))
     # drop repeated odd generators (their square rewrites to lower degree)
@@ -129,8 +127,6 @@ def rand_monomial(alg, r: random.Random, degree_cap: int = 2):
 
 
 def rand_smash_element(smash_alg, r: random.Random, max_terms: int = 3, degree_cap: int = 2):
-    from .smash import SmashElement, TorusElement
-
     terms = {}
     for _ in range(r.randint(1, max_terms)):
         point = TorusElement(rand_torus_coords(r, smash_alg.t))

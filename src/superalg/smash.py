@@ -22,19 +22,9 @@ to each leg of the definition's Delta(u), so it compares the two.
 Every key of every element holds a torus point, and every term of
 Delta(a # m) carries the same point a on both legs, so the antipode axioms
 meet one point, its inverse and their Ad eigenvalues once per term.  That
-work is done once per point instead:
-
-- a TorusElement computes its hash and identity flag when it is built, and
-  its inverse on first use, linked back so that a * a^-1 is the identity
-  without a coordinate product.  That identity is TorusElement.identity(t),
-  one shared point per rank and its own inverse, so no point is built for
-  it either.  Points are immutable, so nothing cached on one can go stale;
-  a point pickles as its coordinates alone.
-- SmashAlgebra.ad_monomial reads a table {generator: Ad eigenvalue} per
-  point, filled one generator at a time, while SmashAlgebra.ad_tables()
-  is open.  check_hopf_axioms opens it around each sample, so the tables
-  live for one sample; outside it nothing is kept, and a pickled algebra
-  carries none.
+work is done once per point instead, and kept on the point
+(torus.TorusElement): SmashAlgebra.ad_monomial looks up each letter's
+weight w and reads a.ad(w) off the point.
 
 The product of two terms skips the work its trivial legs make redundant: no
 Ad scalar for an identity point on the right or an empty monomial on the
@@ -62,11 +52,10 @@ remove.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from math import comb
 
-from .errors import DegenerateForm, DegreeTooHigh, ZeroTorusCoordinate
-from .liealg import LieSuperalgebra, QuadraticForm, RootSystem, ad_eigenvalue
+from .errors import DegenerateForm, DegreeTooHigh
+from .liealg import LieSuperalgebra, QuadraticForm, RootSystem
 from .linalg import SparseSum, add_term, inv, mat_mul, wrap_terms
 from .pbw import (
     Monomial,
@@ -78,139 +67,24 @@ from .pbw import (
 )
 from .scalars import GaussianRational, I, ONE, ZERO, gr
 from .supermatrix import SuperMatrix
+from .torus import TorusElement
 
 _MINUS_ONE = gr(-1)
-
-
-class TorusElement:
-    """Point of the torus, coordinates z_i = value of exp(y_i/2).
-
-    A point is immutable, so whatever is derived from its coordinates alone
-    is computed once and kept on it:
-
-    - the hash, at construction, from the reduced integer triples of the
-      coordinates (`GaussianRational.parts`).  Each triple is unique for its
-      value, so points that compare equal hash equally, and a dict lookup
-      costs no scalar hashing;
-    - the identity flag, at construction;
-    - the inverse, on the first `inverse()` call.  The two points are linked
-      both ways, so `a.inverse().inverse() is a`, and `a * a.inverse()` is
-      `TorusElement.identity(t)`, one shared point per rank whose inverse is
-      itself, without a coordinate product.
-
-    The cached fields are not pickled: a point pickles as its coordinates.
-    """
-
-    __slots__ = ("coords", "_hash", "_is_e", "_inv")
-
-    def __init__(self, coords):
-        cs = tuple(
-            c if isinstance(c, GaussianRational) else GaussianRational(c)
-            for c in coords
-        )
-        for c in cs:
-            if c.is_zero():
-                raise ZeroTorusCoordinate("torus coordinates must be nonzero")
-        _init(self, cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusElement is immutable")
-
-    def __reduce__(self):
-        return TorusElement, (self.coords,)
-
-    @classmethod
-    def identity(cls, t: int) -> "TorusElement":
-        """The identity of rank t: one shared point, its own inverse."""
-        e = _IDENTITIES.get(t)
-        if e is None:
-            e = _IDENTITIES[t] = _torus((ONE,) * t)
-            _set_inv(e, e)
-        return e
-
-    def __mul__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        if other is self._inv:
-            return TorusElement.identity(len(self.coords))
-        return _torus(tuple(a * b for a, b in zip(self.coords, other.coords)))
-
-    def inverse(self) -> "TorusElement":
-        inv = self._inv
-        if inv is None:
-            inv = _torus(tuple(c.inverse() for c in self.coords))
-            _set_inv(self, inv)
-            _set_inv(inv, self)
-        return inv
-
-    def is_identity(self) -> bool:
-        return self._is_e
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-    def to_json(self):
-        return [c.to_json() for c in self.coords]
-
-
-_set_coords = TorusElement.coords.__set__
-_set_hash = TorusElement._hash.__set__
-_set_is_e = TorusElement._is_e.__set__
-_set_inv = TorusElement._inv.__set__
-
-
-def _init(a: TorusElement, coords: tuple) -> None:
-    """Fill the slots of a point from its nonzero coordinates."""
-    _set_coords(a, coords)
-    _set_hash(a, hash(tuple(c.parts() for c in coords)))
-    _set_is_e(a, all(c.is_one() for c in coords))
-    _set_inv(a, None)
-
-
-def _torus(coords: tuple) -> TorusElement:
-    """TorusElement from a tuple of nonzero GaussianRationals, unchecked:
-    products and inverses of nonzero coordinates are nonzero."""
-    a = object.__new__(TorusElement)
-    _init(a, coords)
-    return a
-
-
-_IDENTITIES: dict = {}  # {rank: the identity point}, see TorusElement.identity
 
 
 class SmashAlgebra:
     """Context object tying a type I algebra to its torus action.
 
-    Inside `ad_tables()` (one `check_hopf_axioms` sample), `ad_monomial`
-    keeps each point's Ad eigenvalues in a table {generator: eigenvalue},
-    filled one generator at a time; outside it, nothing is kept.  The
-    tables are not pickled."""
+    weights maps the basis index of each Cartan generator to the zero
+    weight and that of each root vector to its root's weight; nothing in
+    the algebra changes after it is built."""
 
     def __init__(self, g: LieSuperalgebra, rs: RootSystem):
         self.g = g
         self.rs = rs
         self.t = rs.rank
-        self._ad = None  # {point: {generator: Ad eigenvalue}} in ad_tables()
-
-    def __reduce__(self):
-        return SmashAlgebra, (self.g, self.rs)
-
-    @contextmanager
-    def ad_tables(self):
-        """Keep the Ad eigenvalues of every point met until the block ends."""
-        self._ad = {}
-        try:
-            yield
-        finally:
-            self._ad = None
+        self.weights = {r.index: r.weight for r in rs.roots}
+        self.weights.update((h, (0,) * self.t) for h in rs.cartan)
 
     def unit(self) -> "SmashElement":
         return SmashElement(
@@ -229,12 +103,12 @@ class SmashAlgebra:
 
     def ad_monomial(self, a: TorusElement, mon: Monomial) -> GaussianRational:
         """Eigenvalue of Ad(a) on the PBW monomial (acts factorwise)."""
-        table = {} if self._ad is None else self._ad.setdefault(a, {})
         val = ONE
         for gen, p in mon:
-            ev = table.get(gen)
-            if ev is None:
-                ev = table[gen] = ad_eigenvalue(self.rs, a.coords, gen)
+            w = self.weights.get(gen)
+            if w is None:
+                raise ValueError(f"basis index {gen} is neither Cartan nor a root vector")
+            ev = a.ad(w)
             for _ in range(p):
                 val = val * ev
         return val
@@ -553,17 +427,16 @@ def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: in
     for trial in range(samples):
         u = rand_smash_element(alg, r, max_terms=3, degree_cap=degree_cap)
         unit_scaled = alg.unit().scale(counit(u))
-        with alg.ad_tables():
-            delta = coproduct(u)
-            right, left = _antipode_convolutions(delta)
-            sides = {
-                "antipode_right": (right, unit_scaled),
-                "antipode_left": (left, unit_scaled),
-                "counit_left": (_counit_contract(delta, 0), u),
-                "counit_right": (_counit_contract(delta, 1), u),
-                "coassociativity": (coproduct_leg(delta, 0), coproduct_leg(delta, 1)),
-                "super_cocommutativity": (_twist(delta), delta),
-            }
+        delta = coproduct(u)
+        right, left = _antipode_convolutions(delta)
+        sides = {
+            "antipode_right": (right, unit_scaled),
+            "antipode_left": (left, unit_scaled),
+            "counit_left": (_counit_contract(delta, 0), u),
+            "counit_right": (_counit_contract(delta, 1), u),
+            "coassociativity": (coproduct_leg(delta, 0), coproduct_leg(delta, 1)),
+            "super_cocommutativity": (_twist(delta), delta),
+        }
         for name, (lhs, rhs) in sides.items():
             if lhs == rhs:
                 checks[name] += 1

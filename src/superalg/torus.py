@@ -18,6 +18,10 @@ equality is syntactic:
 * the denominator is a true polynomial with minimal exponent 0 in every
   variable (all monomial content is carried by the numerator),
 * the lexicographically least denominator term has coefficient 1.
+
+TorusElement is a point of the torus.  Ad of the point scales a vector of
+weight w by a.ad(w) = prod_i z_i^(2 w_i), which the point keeps by weight,
+so every algebra that meets the point shares one cache.
 """
 
 from __future__ import annotations
@@ -27,11 +31,140 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._polytools import poly_div_exact, poly_gcd
-from .errors import NotAScalarSquare
+from .errors import NotAScalarSquare, ZeroTorusCoordinate
 from .linalg import SparseSum, add_term
 from .scalars import GaussianRational, ONE, ZERO, as_scalar, gr, power
 
 Exps = tuple
+
+
+class TorusElement:
+    """Point of the torus, coordinates z_i = value of exp(y_i/2).
+
+    A point is immutable, so whatever is derived from its coordinates alone
+    is computed once and kept on it:
+
+    - the hash, at construction, from the reduced integer triples of the
+      coordinates (`GaussianRational.parts`).  Each triple is unique for its
+      value, so points that compare equal hash equally, and a dict lookup
+      costs no scalar hashing;
+    - the identity flag, at construction;
+    - the inverse, on the first `inverse()` call.  The two points are linked
+      both ways, so `a.inverse().inverse() is a`, and `a * a.inverse()` is
+      `TorusElement.identity(t)`, one shared point per rank whose inverse is
+      itself, without a coordinate product;
+    - the Ad character, one value per weight on the first `ad(w)` call.
+
+    The cached fields are not pickled: a point pickles as its coordinates.
+    Points of different ranks do not multiply, and a weight of the wrong
+    length has no character: both raise ValueError.
+    """
+
+    __slots__ = ("coords", "_hash", "_is_e", "_inv", "_ad")
+
+    def __init__(self, coords):
+        cs = tuple(
+            c if isinstance(c, GaussianRational) else GaussianRational(c)
+            for c in coords
+        )
+        for c in cs:
+            if c.is_zero():
+                raise ZeroTorusCoordinate("torus coordinates must be nonzero")
+        _init(self, cs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TorusElement is immutable")
+
+    def __reduce__(self):
+        return TorusElement, (self.coords,)
+
+    @classmethod
+    def identity(cls, t: int) -> "TorusElement":
+        """The identity of rank t: one shared point, its own inverse."""
+        e = _IDENTITIES.get(t)
+        if e is None:
+            e = _IDENTITIES[t] = _torus((ONE,) * t)
+            _set_inv(e, e)
+        return e
+
+    def __mul__(self, other):
+        if not isinstance(other, TorusElement):
+            return NotImplemented
+        if other is self._inv:
+            return TorusElement.identity(len(self.coords))
+        if len(other.coords) != len(self.coords):
+            raise ValueError("torus points of different ranks")
+        return _torus(tuple(a * b for a, b in zip(self.coords, other.coords)))
+
+    def inverse(self) -> "TorusElement":
+        inv = self._inv
+        if inv is None:
+            inv = _torus(tuple(c.inverse() for c in self.coords))
+            _set_inv(self, inv)
+            _set_inv(inv, self)
+        return inv
+
+    def ad(self, w: tuple) -> GaussianRational:
+        """Eigenvalue of Ad(self) on a vector of weight w, a tuple of ints:
+        prod_i z_i^(2 w_i), ONE on weight 0.  Kept on the point by weight."""
+        table = self._ad
+        if table is None:
+            table = {}
+            _set_ad(self, table)
+        val = table.get(w)
+        if val is None:
+            if len(w) != len(self.coords):
+                raise ValueError(f"weight {w} does not match the rank {len(self.coords)}")
+            val = ONE
+            for z, e in zip(self.coords, w):
+                if e:
+                    val = val * z ** (2 * e)
+            table[w] = val
+        return val
+
+    def is_identity(self) -> bool:
+        return self._is_e
+
+    def __eq__(self, other):
+        if not isinstance(other, TorusElement):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+    def to_json(self):
+        return [c.to_json() for c in self.coords]
+
+
+_set_coords = TorusElement.coords.__set__
+_set_hash = TorusElement._hash.__set__
+_set_is_e = TorusElement._is_e.__set__
+_set_inv = TorusElement._inv.__set__
+_set_ad = TorusElement._ad.__set__
+
+
+def _init(a: TorusElement, coords: tuple) -> None:
+    """Fill the slots of a point from its nonzero coordinates."""
+    _set_coords(a, coords)
+    _set_hash(a, hash(tuple(c.parts() for c in coords)))
+    _set_is_e(a, all(c.is_one() for c in coords))
+    _set_inv(a, None)
+    _set_ad(a, None)
+
+
+def _torus(coords: tuple) -> TorusElement:
+    """TorusElement from a tuple of nonzero GaussianRationals, unchecked:
+    products and inverses of nonzero coordinates are nonzero."""
+    a = object.__new__(TorusElement)
+    _init(a, coords)
+    return a
+
+
+_IDENTITIES: dict = {}  # {rank: the identity point}, see TorusElement.identity
 
 
 class LaurentPoly(SparseSum):
@@ -516,11 +649,15 @@ def sqrt_scalar_free(f: TorusRational) -> tuple:
     return g, b / a
 
 
+def sinh_binomial(nvars: int, weight) -> LaurentPoly:
+    """The Laurent binomial (q^w - q^-w) / 2."""
+    w = tuple(weight)
+    return LaurentPoly(nvars, {w: gr(Fraction(1, 2)), _neg_exps(w): gr(Fraction(-1, 2))})
+
+
 def sinh_half(nvars: int, weight) -> TorusRational:
     """sinh of half the weight value: (q^w - q^-w) / 2."""
-    w = tuple(weight)
-    p = LaurentPoly(nvars, {w: gr(Fraction(1, 2)), _neg_exps(w): gr(Fraction(-1, 2))})
-    return TorusRational(p)
+    return TorusRational(sinh_binomial(nvars, weight))
 
 
 def cosh_half(nvars: int, weight) -> TorusRational:

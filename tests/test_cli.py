@@ -711,6 +711,15 @@ class TestInputBoundary:
              "invalid structure table: (E21, E11)"),
             (["jstruct-check"], "antisymmetry", "invalid structure table: (E21, E11)"),
             (["complexify"], "antisymmetry", "invalid structure table: (E21, E11)"),
+            # every witness names generators, so a repeated name makes one
+            # ambiguous; E21 renamed E22 once passed these five commands
+            (["build"], "repeated-name", "generator name 'E22' is repeated"),
+            (["casimir", "--order", "2", "--check-central"], "repeated-name",
+             "generator name 'E22' is repeated"),
+            (["hopf-check", "--samples", "3"], "repeated-name", "generator name 'E22' is repeated"),
+            (["gamma-check", "--points", "2"], "repeated-name", "generator name 'E22' is repeated"),
+            (["radial", "--points", "2", "--weights", "6"], "repeated-name",
+             "generator name 'E22' is repeated"),
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -803,6 +812,9 @@ class TestInputBoundary:
         elif definition.endswith("-names"):
             for k, gen in enumerate(data["generators"]):
                 gen["name"] = k if definition == "non-jacobi-int-names" else None
+        elif definition == "repeated-name":
+            assert data["generators"][0]["name"] == "E21"
+            data["generators"][0]["name"] = "E22"
         elif definition == "antisymmetry":
             # [E11, E21] given equal to [E21, E11] instead of its negative
             i11, i21 = g.names.index("E11"), g.names.index("E21")

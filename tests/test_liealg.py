@@ -11,7 +11,6 @@ from superalg.errors import DegenerateForm, ParseError, ZeroTorusCoordinate
 from superalg.liealg import (
     LieSuperalgebra,
     QuadraticForm,
-    ad_eigenvalue,
     build_gl,
     check_jacobi,
     check_structure,
@@ -22,6 +21,8 @@ from superalg.liealg import (
 from superalg.linalg import add_scaled, inv
 from superalg.sampling import rand_scalar, rand_torus_coords, rng
 from superalg.scalars import gr, ONE, ZERO
+from superalg.smash import SmashAlgebra
+from superalg.torus import TorusElement
 
 
 def theta_vec(form, i):
@@ -169,23 +170,35 @@ def test_structure_validation_rejects_bad_antisymmetry(gl11):
 
 
 class TestAdTorus:
+    """Ad of a torus point: its character a.ad(w) on a weight, and
+    SmashAlgebra.ad_monomial on a basis vector."""
+
+    @staticmethod
+    def ad(bundle, a, i):
+        g, _, rs = bundle
+        return SmashAlgebra(g, rs).ad_monomial(a, ((i, 1),))
+
     def test_identity_point(self, gl11):
         g, _, rs = gl11
-        e = (ONE, ONE)
+        e = TorusElement((ONE, ONE))
         for i in range(g.dim):
-            assert ad_eigenvalue(rs, e, i) == ONE
+            assert self.ad(gl11, e, i) == ONE
+        for root in rs.roots:
+            assert e.ad(root.weight) == ONE
 
     def test_example_scaling(self, gl11):
         g, _, rs = gl11
         i12 = g.names.index("E12")
-        a = (gr(2), gr(1))
-        assert ad_eigenvalue(rs, a, i12) == gr(4)
-        assert ad_eigenvalue(rs, a, g.names.index("E21")) == gr(Fraction(1, 4))
+        a = TorusElement((gr(2), gr(1)))
+        assert self.ad(gl11, a, i12) == gr(4)
+        assert self.ad(gl11, a, g.names.index("E21")) == gr(Fraction(1, 4))
+        assert a.ad((1, -1)) == gr(4) and a.ad((-1, 1)) == gr(Fraction(1, 4))
 
     def test_cartan_fixed(self, gl11):
         g, _, rs = gl11
-        i11 = g.names.index("E11")
-        assert ad_eigenvalue(rs, (gr(5), gr(Fraction(1, 3))), i11) == ONE
+        a = TorusElement((gr(5), gr(Fraction(1, 3))))
+        assert self.ad(gl11, a, g.names.index("E11")) == ONE
+        assert a.ad((0, 0)) == ONE
 
     def test_matrix_conjugation_oracle(self, gl21):
         # Ad(a) on E_ab scales by z_a^2 / z_b^2: conjugation by
@@ -195,27 +208,26 @@ class TestAdTorus:
         idx_pair = pairs_of(g)
         for _ in range(20):
             coords = rand_torus_coords(r, 3)
+            point = TorusElement(coords)
             for root in rs.roots:
                 a, b = idx_pair[root.index]
                 want = (coords[a] ** 2) * (coords[b] ** 2).inverse()
-                assert ad_eigenvalue(rs, coords, root.index) == want
+                assert point.ad(root.weight) == want
+                assert self.ad(gl21, point, root.index) == want
 
     def test_multiplicativity(self, gl21):
         g, _, rs = gl21
         r = rng(52)
         for _ in range(50):
-            z1 = rand_torus_coords(r, 3)
-            z2 = rand_torus_coords(r, 3)
-            z12 = tuple(a * b for a, b in zip(z1, z2))
+            a1 = TorusElement(rand_torus_coords(r, 3))
+            a2 = TorusElement(rand_torus_coords(r, 3))
             for i in range(g.dim):
-                assert ad_eigenvalue(rs, z12, i) == ad_eigenvalue(
-                    rs, z1, i
-                ) * ad_eigenvalue(rs, z2, i)
+                assert self.ad(gl21, a1 * a2, i) == self.ad(gl21, a1, i) * self.ad(gl21, a2, i)
 
-    def test_zero_coordinate_rejected(self, gl11):
-        g, _, rs = gl11
+    def test_zero_coordinate_rejected(self):
+        # a point is the only way into ad, and no point has a zero coordinate
         with pytest.raises(ZeroTorusCoordinate):
-            ad_eigenvalue(rs, (ZERO, ONE), 0)
+            TorusElement((ZERO, ONE))
 
 
 def _edited_form(form, edits):

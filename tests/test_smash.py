@@ -15,7 +15,6 @@ from superalg.errors import (
 from superalg.liealg import (
     QuadraticForm,
     RootSystem,
-    ad_eigenvalue,
     build_gl,
     dump_definition,
     load_definition,
@@ -34,7 +33,6 @@ from superalg.smash import (
     SmashAlgebra,
     SmashElement,
     TensorElement,
-    TorusElement,
     _antipode_convolutions,
     _shuffle_split,
     _term_product,
@@ -51,6 +49,20 @@ from superalg.smash import (
     smash_multiply,
 )
 from superalg.supermatrix import SuperMatrix
+from superalg.torus import TorusElement
+
+
+def ad_oracle(rs, coords, mon):
+    """Ad of the point with these coordinates on a PBW monomial, written
+    out apart from TorusElement.ad: 1 on the Cartan, prod_i z_i^(2 w_i) on
+    the root vector of weight w, multiplied factorwise."""
+    weights = {r.index: r.weight for r in rs.roots}
+    val = ONE
+    for gen, p in mon:
+        if gen not in rs.cartan:
+            for z, e in zip(coords, weights[gen]):
+                val = val * z ** (2 * e * p)
+    return val
 
 
 def framed_berezinian(alg, form, a):
@@ -85,6 +97,17 @@ class TestTorusElement:
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ZeroTorusCoordinate):
             TorusElement((gr(0), gr(1)))
+
+    def test_points_of_different_ranks_do_not_multiply(self):
+        a, b = TorusElement((gr(2), gr(3), gr(5))), TorusElement((gr(5), gr(7)))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different ranks"):
+                x * y
+
+    def test_one_class_under_every_import_path(self):
+        import superalg
+
+        assert superalg.TorusElement is smash_mod.TorusElement is TorusElement
 
     def test_equal_points_hash_equally(self):
         # the hash is taken from the coordinates' integer triples; every way
@@ -140,7 +163,8 @@ class TestTorusElement:
     def test_immutable(self):
         a = TorusElement((gr(2), gr(3)))
         a.inverse()
-        for name in ("coords", "_hash", "_is_e", "_inv", "other"):
+        a.ad((1, 0))
+        for name in ("coords", "_hash", "_is_e", "_inv", "_ad", "other"):
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
 
@@ -150,8 +174,9 @@ class TestAdTables:
         # gl(2|1) and gl(1|2) list their basis in the same order with the
         # same weights, so their Ad values agree; gl(1|2) with its Cartan
         # basis listed in reverse is a valid root system of rank 3 whose
-        # weights, and so Ad values, differ.  A table keyed on the point
-        # alone would hand the first algebra's values to the others.
+        # weights, and so Ad values, differ.  A cache keyed on the point
+        # and the generator alone would hand the first algebra's values to
+        # the others.
         g12, _, rs12 = build_gl(1, 2)
         flipped = RootSystem(
             rs12.cartan[::-1],
@@ -163,37 +188,34 @@ class TestAdTables:
         algs = [SmashAlgebra(g21, rs21), SmashAlgebra(g12, rs12), SmashAlgebra(g12, flipped)]
         a = TorusElement((gr(2), gr(3), gr(Fraction(-1, 2), 1)))
         gens = range(g12.dim)
-        want = [[ad_eigenvalue(alg.rs, a.coords, i) for i in gens] for alg in algs]
+        want = [[ad_oracle(alg.rs, a.coords, ((i, 1),)) for i in gens] for alg in algs]
         assert want[2] != want[1]
-        with algs[0].ad_tables(), algs[1].ad_tables(), algs[2].ad_tables():
-            for _ in range(2):  # the second round reads the tables
-                for alg, values in zip(algs, want):
-                    assert [alg.ad_monomial(a, ((i, 1),)) for i in gens] == values
-                    mon = ((1, 1), (6, 2), (8, 1))
-                    assert alg.ad_monomial(a, mon) == values[1] * values[6] ** 2 * values[8]
-
-    def test_tables_last_one_block(self, alg11):
-        a = TorusElement((gr(2), gr(3)))
-        i12 = alg11.g.names.index("E12")
-        assert alg11._ad is None
-        with alg11.ad_tables():
-            assert alg11.ad_monomial(a, ((i12, 1),)) == gr(Fraction(4, 9))
-            assert alg11._ad == {a: {i12: gr(Fraction(4, 9))}}
-        assert alg11._ad is None
-        assert alg11.ad_monomial(a, ((i12, 1),)) == gr(Fraction(4, 9))
-        assert alg11._ad is None
+        for _ in range(2):  # the second round reads the point's cache
+            for alg, values in zip(algs, want):
+                assert [alg.ad_monomial(a, ((i, 1),)) for i in gens] == values
+                mon = ((1, 1), (6, 2), (8, 1))
+                assert alg.ad_monomial(a, mon) == values[1] * values[6] ** 2 * values[8]
 
     def test_unknown_basis_index_raises_at_its_call(self, gl21):
         g, _, rs = gl21
         partial = RootSystem(rs.cartan, [r for r in rs.roots if r.index != 0], [])
         alg = SmashAlgebra(g, partial)
         a = TorusElement((gr(2), gr(3), gr(5)))
-        with alg.ad_tables():
-            assert alg.ad_monomial(a, ((1, 1),)) == ad_eigenvalue(rs, a.coords, 1)
-            for _ in range(2):
-                with pytest.raises(ValueError, match="neither Cartan nor a root"):
-                    alg.ad_monomial(a, ((1, 1), (0, 1)))
-            assert 0 not in alg._ad[a]
+        assert alg.ad_monomial(a, ((1, 1),)) == ad_oracle(rs, a.coords, ((1, 1),))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="neither Cartan nor a root"):
+                alg.ad_monomial(a, ((1, 1), (0, 1)))
+
+    def test_point_of_the_wrong_rank_raises(self, alg21):
+        # a rank-2 point on gl(2|1), rank 3: the third weight entry was
+        # once zipped away, giving 9/4, 1/4, 1/9, 4/9 on the first roots
+        a = TorusElement((gr(2), gr(3)))
+        for i in range(alg21.g.dim):
+            with pytest.raises(ValueError, match="does not match the rank 2"):
+                alg21.ad_monomial(a, ((i, 1),))
+        with pytest.raises(ValueError, match="does not match the rank 2"):
+            a.ad((0, 0, 0))
+        assert a.ad((1, -1)) == gr(Fraction(4, 9))
 
 
 class TestSmashProduct:
@@ -211,6 +233,15 @@ class TestSmashProduct:
         a = TorusElement((gr(2), gr(1)))
         lhs = smash_multiply(alg11.primitive(i12), alg11.group_like(a))
         assert lhs == alg11.element(a, ((i12, 1),), gr(Fraction(1, 4)))
+
+    def test_term_at_a_point_of_the_wrong_rank_raises(self, alg21):
+        # gl(2|1) has rank 3; the product once returned the rank-2 point
+        # (10, 21), zipping the third coordinate away
+        u = alg21.element(TorusElement((gr(2), gr(3), gr(5))), ((0, 1),))
+        v = alg21.group_like(TorusElement((gr(5), gr(7))))
+        for x, y in ((u, v), (v, u)):
+            with pytest.raises(ValueError):
+                smash_multiply(x, y)
 
     def test_group_algebra_embeds(self, alg11):
         a = TorusElement((gr(2), gr(3)))
@@ -597,7 +628,7 @@ def _antipode_term(alg, a, mon):
     sign = gr(-1) if (p_gen and p_rest) else ONE
     s_head = SmashElement(
         alg,
-        {(a.inverse(), ((gen, 1),)): -ad_eigenvalue(alg.rs, a.coords, gen)},
+        {(a.inverse(), ((gen, 1),)): -ad_oracle(alg.rs, a.coords, ((gen, 1),))},
     )
     if not rest:
         return s_head
@@ -693,19 +724,19 @@ class TestHopfChecksCatchDefects:
 def hand_conjugation_pullback(alg, a, mon_a, b, mon_b):
     """psi(a,b) # Ad(b)(X_a X_b - (-1)^{|X_a||X_b|} Ad(a^-1)(X_b) X_a) for
     X_b a generator, psi(a,b) # Ad(b)(X_a) when X_b = 1; psi(a,b) = a."""
-    g = alg.g
+    g, rs = alg.g, alg.rs
     if not mon_b:
         if not mon_a:
             return SmashElement(alg, {(a, ()): ONE})
-        return SmashElement(alg, {(a, mon_a): alg.ad_monomial(b, mon_a)})
+        return SmashElement(alg, {(a, mon_a): ad_oracle(rs, b.coords, mon_a)})
     xb = mon_b[0][0]
-    ad_b_xb = ad_eigenvalue(alg.rs, b.coords, xb)
-    ad_b_xa = alg.ad_monomial(b, mon_a)
+    ad_b_xb = ad_oracle(rs, b.coords, mon_b)
+    ad_b_xa = ad_oracle(rs, b.coords, mon_a)
     sign = ONE if monomial_parity(mon_a, g.parities) and g.parities[xb] else gr(-1)
     items = [
         (word_of(mon_a) + (xb,), ad_b_xa * ad_b_xb),
         ((xb,) + word_of(mon_a),
-         ad_eigenvalue(alg.rs, a.inverse().coords, xb) * ad_b_xb * ad_b_xa * sign),
+         ad_oracle(rs, a.inverse().coords, mon_b) * ad_b_xb * ad_b_xa * sign),
     ]
     prod = normalize_terms(g, items)
     return SmashElement(alg, {(a, mon): c for mon, c in prod.items()})
@@ -716,8 +747,8 @@ def diagonal_jacobian(rs, a):
     oracle: 1 on the Cartan, 1 - Ad(a^-1) on each root line, exact zeros
     off the diagonal, in the frame Cartan + even roots | odd roots."""
     ainv = a.inverse().coords
-    evens = [ONE] * rs.rank + [ONE - ad_eigenvalue(rs, ainv, r.index) for r in rs.even_roots]
-    odds = [ONE - ad_eigenvalue(rs, ainv, r.index) for r in rs.odd_roots]
+    evens = [ONE] * rs.rank + [ONE - ad_oracle(rs, ainv, ((r.index, 1),)) for r in rs.even_roots]
+    odds = [ONE - ad_oracle(rs, ainv, ((r.index, 1),)) for r in rs.odd_roots]
     return SuperMatrix(
         [[v if i == j else ZERO for j in range(len(evens))] for i, v in enumerate(evens)],
         [[v if i == j else ZERO for j in range(len(odds))] for i, v in enumerate(odds)],
@@ -859,7 +890,7 @@ class TestJacobian:
             coords = rand_torus_coords(r, 3)
             a = TorusElement(coords)
             unit_ev = any(
-                ad_eigenvalue(rs, coords, root.index) == ONE for root in rs.roots
+                ad_oracle(rs, coords, ((root.index, 1),)) == ONE for root in rs.roots
             )
             jac = jacobian_at(alg21, a)
             from superalg.linalg import det
@@ -942,10 +973,70 @@ class TestGammaOracleCatchesDefects:
             assert not any(e["singular"] for e in rep["points"])
 
 
+def _ad_without_the_factor_two(self, w):
+    """TorusElement.ad giving prod_i z_i^(w_i) for prod_i z_i^(2 w_i)."""
+    val = ONE
+    for z, e in zip(self.coords, w):
+        val = val * z ** e
+    return val
+
+
+def _ad_one_value_per_point(real):
+    """TorusElement.ad keyed on the point alone: the value of the first
+    weight asked for answers every later weight."""
+    seen = {}
+
+    def ad(self, w):
+        if self not in seen:
+            seen[self] = real(self, w)
+        return seen[self]
+
+    return ad
+
+
+class TestAdCharacterDefects:
+    """Each injected defect in TorusElement.ad fails exactly the checks
+    named here.  Ad without the factor 2 is still a character of the torus
+    scaling each root vector by its weight, so it is still an action by
+    automorphisms and the smash product is still a Hopf superalgebra: no
+    hopf-check can fail on it.  Only the gamma oracle, whose closed form
+    fixes Ad(exp Y) = exp(eps(Y)), sees it."""
+
+    @pytest.mark.parametrize("bundle", ["gl11", "gl21", "gl22"])
+    def test_ad_without_the_factor_two_fails_the_gamma_oracle_only(self, bundle, request, monkeypatch):
+        from superalg.radial import check_gamma_oracle
+
+        g, form, rs = request.getfixturevalue(bundle)
+        points = regular_points(rs, 5, seed=3)
+        monkeypatch.setattr(TorusElement, "ad", _ad_without_the_factor_two)
+        alg = SmashAlgebra(g, rs)
+        assert check_gamma_oracle(alg, form, points)["pass"] is False
+        assert check_hopf_axioms(alg, samples=40, seed=7)["pass"]
+
+    @pytest.mark.parametrize("bundle", ["gl11", "gl21", "gl22"])
+    def test_one_value_per_point_fails_the_left_antipode_and_the_gamma_oracle(
+        self, bundle, request, monkeypatch
+    ):
+        from superalg.radial import check_gamma_oracle
+
+        g, form, rs = request.getfixturevalue(bundle)
+        points = regular_points(rs, 5, seed=3)
+        monkeypatch.setattr(TorusElement, "ad", _ad_one_value_per_point(TorusElement.ad))
+        alg = SmashAlgebra(g, rs)
+        rep = check_hopf_axioms(alg, samples=40, seed=7)
+        assert {k for k, n in rep["checks"].items() if n < rep["samples"]} == {"antipode_left"}
+        assert check_gamma_oracle(alg, form, points)["pass"] is False
+
+
 class TestGammaSdet:
     def test_spot_value(self, alg11):
         val = gamma_via_sdet(alg11, TorusElement((gr(2), gr(1))))
         assert val in (gr(Fraction(4, 9)), gr(Fraction(-4, 9)))
+
+    def test_point_of_the_wrong_rank_raises(self, alg21):
+        # a rank-2 point on gl(2|1) once gave the Berezinian -25/576
+        with pytest.raises(ValueError, match="does not match the rank 2"):
+            gamma_via_sdet(alg21, TorusElement((gr(2), gr(3))))
 
     def test_frame_is_symplectic_on_odd_part(self, gl21, b_vec):
         g, form, rs = gl21
@@ -1049,14 +1140,26 @@ class TestPickle:
         assert back == a and hash(back) == hash(a)
         assert back.inverse() == a_inv and back.inverse().inverse() is back
 
-    def test_smash_algebra_pickles_without_its_ad_tables(self, alg11):
+    def test_torus_element_pickles_without_its_ad_cache(self):
+        a = TorusElement((gr(2), gr(Fraction(1, 3), -1)))
+        before = pickle.dumps(a)
+        weights = [(1, -1), (-1, 1), (0, 0), (2, 1)]
+        values = [a.ad(w) for w in weights]
+        assert a._ad == dict(zip(weights, values))
+        assert pickle.dumps(a) == before
+        back = pickle.loads(pickle.dumps(a))
+        assert back._ad is None
+        assert [back.ad(w) for w in weights] == values
+
+    def test_smash_algebra_pickles_by_default(self, alg11):
         a = TorusElement((gr(2), gr(3)))
-        with alg11.ad_tables():
-            alg11.ad_monomial(a, ((alg11.g.names.index("E12"), 1),))
-            assert alg11._ad
-            back = pickle.loads(pickle.dumps(alg11))
-        assert back._ad is None and alg11._ad is None
+        back = pickle.loads(pickle.dumps(alg11))
         assert back.g.names == alg11.g.names and back.t == alg11.t
+        assert back.weights == alg11.weights
+        r = rng(19)
+        for _ in range(20):
+            mon = rand_monomial(alg11.g, r, degree_cap=4)
+            assert back.ad_monomial(a, mon) == alg11.ad_monomial(a, mon)
 
     def test_smash_and_tensor_elements(self, alg11):
         import pickle
