@@ -21,6 +21,8 @@ RUNGS=(
   "casimir --algebra gl:3,3 --kind gelfand --order 4 --check-central"
   "casimir --algebra gl:3,3 --kind gelfand --order 5 --check-central"
   "casimir --algebra gl:2,3 --kind gelfand --order 3 --check-central"
+  "casimir --algebra gl:4,1 --kind gelfand --order 4 --check-central"
+  "casimir --algebra gl:3,2 --kind gelfand --order 4 --check-central"
   "hopf-check --algebra gl:2,2 --samples 20 --degree-cap 4 --seed 1"
   "hopf-check --algebra gl:3,1 --samples 30 --degree-cap 5 --seed 1"
   "hopf-check --algebra gl:1,3 --samples 40 --degree-cap 4 --seed 1"

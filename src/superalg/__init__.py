@@ -38,6 +38,7 @@ from .liealg import (
     check_jacobi,
     check_structure,
     dump_definition,
+    generating_set,
     load_definition,
     theta_dual,
 )

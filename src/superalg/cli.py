@@ -189,7 +189,7 @@ def _cmd_casimir(config: RunConfig):
         raise UnsupportedAlgebra(f"unknown casimir kind {kind!r}")
     results = []
     if config.check_central:
-        results.append({"check": "central", **_strip(is_central(elem, g))})
+        results.append({"check": "central", **_strip(is_central(elem, g, rs))})
     values = {"element": elem.to_json(), "kind": kind, "order": config.order}
     if rs is not None:
         values["cartan_projection"] = project_to_cartan(elem, rs).to_json()

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateForm, ParseError
-from .linalg import add_scaled, add_term, inv
+from .linalg import add_scaled, add_term, inv, rref
 from .scalars import GaussianRational, ONE, ZERO, gr, json_fraction, json_int
 
 EVEN, ODD = 0, 1
@@ -276,6 +276,19 @@ class RootSystem:
     def odd_positives(self):
         return self._split(ODD, True)
 
+    @property
+    def simple_roots(self):
+        """The positive roots that are not a sum of two positive roots."""
+        pos = [self.roots[i] for i in self.positives]
+        weights = {r.weight for r in pos}
+        return [
+            r
+            for r in pos
+            if not any(
+                tuple(a - b for a, b in zip(r.weight, u.weight)) in weights for u in pos
+            )
+        ]
+
     def negative_of(self, root: Root) -> Root:
         """The opposite root with the same parity; roots come in +/- pairs."""
         target = tuple(-w for w in root.weight)
@@ -473,6 +486,76 @@ def check_jacobi(g: LieSuperalgebra) -> dict:
                     "checked": n * n * n,
                 }
     return {"pass": True, "witness": None, "checked": n * n * n}
+
+
+def generating_set(g: LieSuperalgebra, rs: RootSystem) -> tuple:
+    """Basis indices that generate g as a Lie superalgebra: the root vectors
+    of the simple roots, positive then negative, then the Cartan generators
+    in index order that their closure (see generates) needs to span the
+    Cartan; every index when the simple root vectors do not reach every
+    root.  On gl(m|n) that is 2(m+n)-1 of the (m+n)^2 generators: the
+    simple root vectors reach every root and the supertrace-zero part of
+    the Cartan (Kac 1977), and E11 is added."""
+    simple = rs.simple_roots
+    gens = [r.index for r in simple] + [rs.negative_of(r).index for r in simple]
+    reached, rows = _closure(g, rs, gens)
+    if len(reached) < len(rs.roots):
+        return tuple(range(g.dim))
+    return tuple(gens) + _cartan_completion(rs, rows)
+
+
+def generates(g: LieSuperalgebra, rs: RootSystem, gens) -> bool:
+    """Whether the basis elements gens provably generate g: their closure
+    reaches every root vector and spans the Cartan."""
+    reached, rows = _closure(g, rs, gens)
+    return len(reached) == len(rs.roots) and not _cartan_completion(rs, rows)
+
+
+def _closure(g: LieSuperalgebra, rs: RootSystem, gens):
+    """(root vectors reached, Cartan rows) of the bracket closure of gens.
+
+    The closure is tracked on root indices.  A bracket of two reached root
+    vectors that is a multiple of one root vector reaches that root; one
+    that lies in the Cartan adds a row, a vector {column: coeff} over the
+    Cartan generators in index order, as does each Cartan generator in
+    gens.  Every other bracket is left out: a Cartan element brackets a
+    root vector into its own line, and under the root grading (root spaces
+    are one-dimensional, and super Jacobi with the eigen-equations makes
+    [X_a, X_b] lie in weight a + b) nothing else remains.  Leaving a bracket
+    out only shrinks what is recorded, so a closure that reaches every root
+    and whose rows have rank t spans g whatever the table."""
+    column = {h: c for c, h in enumerate(sorted(rs.cartan))}
+    reached = [i for i in dict.fromkeys(gens) if i not in column]
+    rows = [{column[i]: ONE} for i in dict.fromkeys(gens) if i in column]
+    seen = set(reached)
+    for k, x in enumerate(reached):  # reached grows while it is walked
+        for y in reached[: k + 1]:
+            vec = g.bracket(x, y)
+            if not vec:
+                continue
+            if vec.keys() <= column.keys():
+                rows.append({column[h]: c for h, c in vec.items()})
+            elif len(vec) == 1:
+                (z,) = vec
+                if z not in seen:
+                    seen.add(z)
+                    reached.append(z)
+    return reached, rows
+
+
+def _cartan_completion(rs: RootSystem, rows) -> tuple:
+    """The Cartan generators, in index order, that extend the span of rows
+    to the whole Cartan: the pivot columns past the rows in one rref of the
+    t x (len(rows) + t) matrix whose columns are the rows and then the unit
+    vectors of the Cartan generators."""
+    cartan = sorted(rs.cartan)
+    n = len(rows)
+    matrix = [
+        [row.get(p, ZERO) for row in rows] + [ONE if q == p else ZERO for q in range(len(cartan))]
+        for p in range(len(cartan))
+    ]
+    _, pivots = rref(matrix)
+    return tuple(cartan[c - n] for c in pivots if c >= n)
 
 
 def theta_dual(form: QuadraticForm) -> list:

@@ -117,7 +117,9 @@ class SmashAlgebra:
 class SmashElement(SparseSum):
     """Finite Q(i)-combination of torus-point # PBW-monomial tensors.
     Equality reads the terms alone, so it holds across a pickled
-    SmashAlgebra."""
+    SmashAlgebra.  The checked constructor refuses, with ValueError, a key
+    whose torus point does not have the algebra's rank; wrap_terms does not
+    check."""
 
     __slots__ = ("alg",)
     _context = ("alg",)
@@ -127,6 +129,11 @@ class SmashElement(SparseSum):
 
     def _key(self, key):
         a, mon = key
+        if len(a.coords) != self.alg.t:
+            raise ValueError(
+                f"rank {self.alg.t} of the algebra does not match the rank "
+                f"{len(a.coords)} of the torus point {a!r}"
+            )
         return a, tuple(mon)
 
     def __mul__(self, other):

@@ -509,6 +509,36 @@ class TestCheckFailures:
         assert row["witness"] == "L(j) is not a scalar multiple of j"
         assert set(rep["values"]) == {"gamma_check"}
 
+    def test_inverted_laplacian_coefficients_fail_leading_term(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # injected defect: the Laplacian coefficient b(H,H) in place of
+        # 1/b(H,H).  Every gl(m|n) Cartan norm is +-1, where the two agree,
+        # so the defect shows only on a form whose Cartan norms are not:
+        # gl(2|1) with its form doubled, read from a file
+        from superalg.liealg import QuadraticForm
+        from superalg.radial import TorusLaplacian
+
+        g, form, rs = build_gl(2, 1)
+        doubled = QuadraticForm([[c * 2 for c in row] for row in form.gram])
+        path = tmp_path / "gl21-doubled-form.json"
+        path.write_text(json.dumps(dump_definition(g, doubled, rs)))
+        argv = ["radial", "--file", str(path), "--points", "3", "--weights", "12", "--seed", "1"]
+        status, rep = run_main(argv, capsys)
+        assert status == 0
+        assert [r["check"] for r in rep["results"]] == [
+            "gamma-oracle", "eigenfunction", "P-fit", "leading-term"
+        ]
+        real = TorusLaplacian.from_cartan
+
+        def inverted(rs, form):
+            return TorusLaplacian(tuple(c.inverse() for c in real(rs, form).coeffs))
+
+        monkeypatch.setattr(TorusLaplacian, "from_cartan", staticmethod(inverted))
+        status, rep = run_main(argv, capsys)
+        assert status == 1 and rep["pass"] is False
+        assert [r["check"] for r in rep["results"] if not r["pass"]] == ["leading-term"]
+
     @pytest.mark.parametrize("command", ["gamma-check", "radial"])
     def test_wrong_sdet_exits_1_with_gamma_witness(self, command, capsys, monkeypatch):
         # injected defect: the Jacobian Berezinian tripled at every point

@@ -11,10 +11,13 @@ from superalg.errors import DegenerateForm, ParseError, ZeroTorusCoordinate
 from superalg.liealg import (
     LieSuperalgebra,
     QuadraticForm,
+    RootSystem,
     build_gl,
     check_jacobi,
     check_structure,
     dump_definition,
+    generates,
+    generating_set,
     load_definition,
     theta_dual,
 )
@@ -534,3 +537,84 @@ class TestDefinitionFiles:
                 '{"generators": [{"name": "X", "parity": 0}],'
                 ' "brackets": [{"i": 0, "j": 5, "result": []}]}'
             )
+
+
+def generated_dim(g, gens):
+    """Dimension of the subalgebra the basis elements gens generate, by
+    linear algebra alone: the span of the right-normed brackets
+    [s_1, [s_2, ..., s_k]], with each new vector reduced against an echelon
+    basis whose rows are zero left of their pivot."""
+    echelon = {}  # pivot -> row with entry ONE there
+    queue = [{i: ONE} for i in gens]
+    while queue:
+        v = queue.pop()
+        for p in sorted(echelon):
+            if p in v:
+                v = dict(v)
+                add_scaled(v, echelon[p], -v[p])
+        if not v:
+            continue
+        p = min(v)
+        pivot = v[p]
+        echelon[p] = {k: c / pivot for k, c in v.items()}
+        queue += [g.bracket_vec({s: ONE}, echelon[p]) for s in gens]
+    return len(echelon)
+
+
+class TestGeneratingSet:
+    SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3), (4, 1)]
+
+    @pytest.mark.parametrize("mn", SHAPES)
+    def test_simple_roots_are_the_adjacent_differences(self, mn):
+        _, _, rs = build_gl(*mn)
+        size = sum(mn)
+        want = []
+        for a in range(size - 1):
+            w = [0] * size
+            w[a], w[a + 1] = 1, -1
+            want.append(tuple(w))
+        assert [r.weight for r in rs.simple_roots] == want
+
+    @pytest.mark.parametrize("mn", SHAPES + ["file"])
+    def test_gl_is_generated_by_2_m_plus_n_minus_1(self, mn):
+        if mn == "file":
+            mn = (2, 1)
+            loaded = load_definition(json.dumps(dump_definition(*build_gl(*mn))))
+            g, rs = loaded["algebra"], loaded["root_system"]
+        else:
+            g, _, rs = build_gl(*mn)
+        gens = generating_set(g, rs)
+        assert len(gens) == len(set(gens)) == 2 * sum(mn) - 1
+        assert gens[-1] == g.names.index("E11")  # the one Cartan generator
+        assert generates(g, rs, gens)
+        assert generated_dim(g, gens) == g.dim
+
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (2, 2)])
+    def test_the_closure_refuses_each_set_one_short(self, mn):
+        # the simple root vectors without a Cartan generator span the
+        # supertrace-zero part only, and dropping any one of them loses the
+        # roots through it: no proper subset of the set generates g
+        g, _, rs = build_gl(*mn)
+        gens = generating_set(g, rs)
+        for drop in gens:
+            rest = [i for i in gens if i != drop]
+            assert not generates(g, rs, rest)
+            assert generated_dim(g, rest) < g.dim
+
+    def test_cartan_generators_complete_in_index_order(self, gl21):
+        # every root vector spans the supertrace-zero Cartan part; E11 and
+        # E22 each complete it, and E11 comes first in index order
+        g, _, rs = gl21
+        roots = [r.index for r in rs.roots]
+        assert not generates(g, rs, roots)
+        i11, i22 = g.names.index("E11"), g.names.index("E22")
+        assert generates(g, rs, roots + [i22])
+        assert generates(g, rs, roots + [i11])
+
+    def test_every_index_when_the_simple_roots_do_not_reach_every_root(
+        self, gl21, monkeypatch
+    ):
+        g, _, rs = gl21
+        first = rs.simple_roots[:1]
+        monkeypatch.setattr(RootSystem, "simple_roots", property(lambda rs: first))
+        assert generating_set(g, rs) == tuple(range(g.dim))

@@ -8,6 +8,7 @@ from superalg.liealg import (
     QuadraticForm,
     build_gl,
     check_jacobi,
+    generates,
     theta_dual,
 )
 from superalg.pbw import (
@@ -388,7 +389,7 @@ class TestCasimir:
         # generator, odd parts and Koszul tail signs included.  The m < n
         # and m = n parity patterns are covered besides m > n.
         for mn in [(2, 1), (1, 2), (2, 2)]:
-            g, form, _ = build_gl(*mn)
+            g, form, rs = build_gl(*mn)
             r = rng(23)
             central = [casimir2(g, form), gelfand_invariant(g, 3)]
             generators = [PBWElement.generator(g, i) for i in range(g.dim)]
@@ -398,15 +399,35 @@ class TestCasimir:
             for x in elements:
                 comms = [super_commutator(x, gen) for gen in generators]
                 first = next((i for i, c in enumerate(comms) if not c.is_zero()), None)
-                rep = is_central(x, g)
-                if first is None:
-                    assert rep == {"pass": True, "witness": None}
-                else:
-                    assert rep["witness"] == {
-                        "generator": g.names[first],
-                        "index": first,
-                        "value": repr(comms[first]),
-                    }
+                # on the generating set of rs, and on every generator
+                for rep in (is_central(x, g, rs), is_central(x, g)):
+                    if first is None:
+                        assert rep == {"pass": True, "witness": None}
+                    else:
+                        assert rep == {
+                            "pass": False,
+                            "witness": {
+                                "generator": g.names[first],
+                                "index": first,
+                                "value": repr(comms[first]),
+                            },
+                        }
+
+    def test_generating_set_certificate_matters(self, gl11, monkeypatch):
+        # E12 super-commutes with itself ([E12, E12] = 0 and E12^2 = 0), so
+        # a check on the set {E12} alone would pass it.  The closure refuses
+        # that set, and the generating set of rs finds today's witness E21
+        import superalg.pbw as pbw
+
+        g, _, rs = gl11
+        i12, i21 = g.names.index("E12"), g.names.index("E21")
+        e12 = PBWElement.generator(g, i12)
+        assert super_commutator(e12, e12).is_zero()
+        assert not generates(g, rs, (i12,))
+        rep = is_central(e12, g, rs)
+        assert rep["pass"] is False and rep["witness"]["generator"] == g.names[i21]
+        monkeypatch.setattr(pbw, "generating_set", lambda g, rs: (i12,))
+        assert is_central(e12, g, rs)["pass"] is True
 
 
 class TestGelfand:

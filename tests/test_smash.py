@@ -19,7 +19,7 @@ from superalg.liealg import (
     dump_definition,
     load_definition,
 )
-from superalg.linalg import add_term, inv, mat_mul
+from superalg.linalg import add_term, inv, mat_mul, wrap_terms
 from superalg.pbw import monomial_parity, normalize_terms, pbw_normalize, word_of
 from superalg.sampling import (
     rand_monomial,
@@ -236,12 +236,22 @@ class TestSmashProduct:
 
     def test_term_at_a_point_of_the_wrong_rank_raises(self, alg21):
         # gl(2|1) has rank 3; the product once returned the rank-2 point
-        # (10, 21), zipping the third coordinate away
+        # (10, 21), zipping the third coordinate away.  The checked
+        # constructor refuses such a term, so v is wrapped unchecked here
         u = alg21.element(TorusElement((gr(2), gr(3), gr(5))), ((0, 1),))
-        v = alg21.group_like(TorusElement((gr(5), gr(7))))
+        v = wrap_terms(SmashElement, (alg21,), {(TorusElement((gr(5), gr(7))), ()): ONE})
         for x, y in ((u, v), (v, u)):
             with pytest.raises(ValueError):
                 smash_multiply(x, y)
+
+    def test_key_of_the_wrong_rank_raises(self, alg21):
+        # the rank-2 identity once multiplied silently: times E21 it gave
+        # (1)*(1, 1)#E21 on gl(2|1), whose rank is 3
+        for point in (TorusElement.identity(2), TorusElement((gr(2), gr(3)))):
+            with pytest.raises(ValueError, match="rank 3 of the algebra does not match"):
+                SmashElement(alg21, {(point, ()): ONE}) * alg21.primitive(0)
+            with pytest.raises(ValueError, match="rank 3 of the algebra does not match"):
+                alg21.element(point, ((0, 1),))
 
     def test_group_algebra_embeds(self, alg11):
         a = TorusElement((gr(2), gr(3)))
