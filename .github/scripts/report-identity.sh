@@ -6,7 +6,7 @@
 # Runs every perfbench workload at seed 1 for one second in each checkout;
 # a digest is the sha256 of a suite's JSON report without timing_ms.  Then
 # runs the larger CLI rungs below in each checkout and diffs their reports,
-# also without timing_ms; the last eight read a definition file.
+# also without timing_ms; the last ten read a definition file.
 set -euo pipefail
 shopt -s inherit_errexit
 
@@ -30,19 +30,45 @@ RUNGS=(
   "hopf-check --algebra gl:3,3 --samples 60 --degree-cap 3 --seed 1"
   "build --algebra gl:3,3"
   "build --algebra gl:1,3"
+  "build --algebra gl:4,3"
   "check-jacobi --algebra gl:3,3"
+  "check-jacobi --algebra gl:4,4"
   "jstruct-check --algebra gl:2,2"
   "jstruct-check --algebra gl:3,3"
   "complexify --algebra gl:2,2 --ideal 0"
 )
 
 # The --file rungs read one definition, the base checkout's gl(2|1) build,
-# through the same absolute path on both sides.
+# through the same absolute path on both sides, and two edits of it whose
+# tables fail super Jacobi: "doubled" doubles [E11, E21] in its one dumped
+# entry, a super-antisymmetric table whose sorted triples check_jacobi
+# scans; "unsigned" gives [E11, E21] explicitly with the sign of
+# [E21, E11], a table that is not super-antisymmetric, so every ordered
+# triple is scanned.
 definition=$(mktemp --suffix=.json)
-trap 'rm -f "$definition"' EXIT
+doubled=$(mktemp --suffix=.json)
+unsigned=$(mktemp --suffix=.json)
+trap 'rm -f "$definition" "$doubled" "$unsigned"' EXIT
 (cd "$1" && PYTHONPATH=src python3 -m superalg.cli build --algebra gl:2,1) \
   | python3 -c 'import json, sys; json.dump(json.load(sys.stdin)["values"]["definition"], sys.stdout)' \
   > "$definition"
+python3 - "$definition" "$doubled" "$unsigned" <<'EOF'
+import copy, json, sys
+
+definition = json.load(open(sys.argv[1]))
+names = [g["name"] for g in definition["generators"]]
+e11, e21 = names.index("E11"), names.index("E21")
+doubled = copy.deepcopy(definition)
+for entry in doubled["brackets"]:
+    if {entry["i"], entry["j"]} == {e11, e21}:
+        for (re_part, _, _) in entry["result"]:
+            re_part[0] *= 2
+json.dump(doubled, open(sys.argv[2], "w"))
+unsigned = copy.deepcopy(definition)
+entry = next(e for e in unsigned["brackets"] if (e["i"], e["j"]) == (e21, e11))
+unsigned["brackets"].append({"i": e11, "j": e21, "result": entry["result"]})
+json.dump(unsigned, open(sys.argv[3], "w"))
+EOF
 RUNGS+=(
   "check-jacobi --file $definition"
   "casimir --file $definition --kind casimir2 --check-central"
@@ -52,6 +78,8 @@ RUNGS+=(
   "build --file $definition"
   "jstruct-check --file $definition"
   "complexify --file $definition"
+  "check-jacobi --file $doubled"
+  "check-jacobi --file $unsigned"
 )
 
 digests() {

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import superalg.liealg as liealg
 from superalg.errors import DegenerateForm, ParseError, ZeroTorusCoordinate
 from superalg.liealg import (
     LieSuperalgebra,
@@ -373,16 +374,17 @@ ORACLE_ALGEBRAS = [(1, 1), (2, 1), (1, 2), (2, 2)]
 PERTURBATIONS = 60
 
 
-def _perturbed_bracket(g, r, antisymmetric):
+def _perturbed_bracket(g, r, antisymmetric, closed=True):
     """g with one bracket coefficient [X_i, X_j]_k replaced by a random
-    scalar (zero included), k of the parity of the pair; the mirror entry
-    (j, i) follows by super-antisymmetry, or keeps its old value."""
+    scalar (zero included), k of the parity of the pair, or of the other
+    parity when closed is False; the mirror entry (j, i) follows by
+    super-antisymmetry, or keeps its old value."""
     n = g.dim
     i, j = r.randrange(n), r.randrange(n)
-    if r.random() < 0.5 and g.bracket(i, j):
+    if closed and r.random() < 0.5 and g.bracket(i, j):
         k = r.choice(sorted(g.bracket(i, j)))
     else:
-        want = (g.parities[i] + g.parities[j]) % 2
+        want = (g.parities[i] + g.parities[j] + (not closed)) % 2
         k = r.choice([k for k in range(n) if g.parities[k] == want])
     c = rand_scalar(r)
     table = {key: dict(v) for key, v in g.table.items()}
@@ -414,9 +416,12 @@ def same_report(rep, want):
 
 class TestTripleLoopOracles:
     """check_jacobi and QuadraticForm.validate give the triple loops' report
-    dicts, witnesses included, on the builders and on seeded defects."""
+    dicts, witnesses included, on the builders and on seeded defects.
+    check_jacobi scans only sorted triples on a table that passes
+    check_structure and every ordered triple on one that does not; both
+    kinds of table occur below."""
 
-    @pytest.mark.parametrize("mn", ORACLE_ALGEBRAS)
+    @pytest.mark.parametrize("mn", ORACLE_ALGEBRAS + [(3, 1), (1, 3)])
     def test_builders(self, mn):
         g, form, _ = build_gl(*mn)
         assert check_jacobi(g) == triple_loop_check_jacobi(g) == {
@@ -430,7 +435,7 @@ class TestTripleLoopOracles:
     def test_perturbed_bracket(self, antisymmetric):
         builders = [build_gl(*mn) for mn in ORACLE_ALGEBRAS]
         r = rng(1901 + antisymmetric)
-        failures = 0
+        failures = sorted_witnesses = 0
         for p in range(PERTURBATIONS):
             g, form, _ = builders[p % len(builders)]
             bad = _perturbed_bracket(g, r, antisymmetric)
@@ -438,7 +443,45 @@ class TestTripleLoopOracles:
             assert same_report(rep, triple_loop_check_jacobi(bad))
             assert same_report(form.validate(bad), triple_loop_validate(form, bad))
             failures += not rep["pass"]
+            if not rep["pass"] and check_structure(bad)["pass"]:
+                # the sorted scan's witness: the first failing ordered
+                # triple is sorted when the Jacobiator is graded alternating
+                i, j, k = rep["witness"]["indices"]
+                assert i <= j <= k
+                sorted_witnesses += 1
         assert failures >= PERTURBATIONS // 2
+        if antisymmetric:
+            assert sorted_witnesses >= PERTURBATIONS // 2
+
+    def test_perturbed_bracket_off_parity(self):
+        # super-antisymmetric tables that break parity closure fail
+        # check_structure, so check_jacobi scans every ordered triple
+        builders = [build_gl(*mn) for mn in ORACLE_ALGEBRAS]
+        r = rng(1907)
+        failures = 0
+        for p in range(PERTURBATIONS):
+            g, _, _ = builders[p % len(builders)]
+            bad = _perturbed_bracket(g, r, antisymmetric=True, closed=False)
+            rep = check_jacobi(bad)
+            assert same_report(rep, triple_loop_check_jacobi(bad))
+            if not rep["pass"]:
+                assert check_structure(bad)["check"] == "parity-closure"
+                failures += 1
+        assert failures >= PERTURBATIONS // 2
+
+    def test_off_parity_failure_outside_the_sorted_triples(self, monkeypatch):
+        # [X, Y] = 2X with X even and Y odd: super-antisymmetric, not parity
+        # closed, and every sorted triple satisfies super Jacobi, so only
+        # the scan over every ordered triple finds (Y, Y, X)
+        g = LieSuperalgebra(["X", "Y"], [0, 1], {(0, 1): {0: gr(2)}, (1, 0): {0: gr(-2)}})
+        want = {
+            "pass": False,
+            "witness": {"triple": ["Y", "Y", "X"], "indices": [1, 1, 0], "defect": {"X": "8"}},
+            "checked": 8,
+        }
+        assert check_jacobi(g) == triple_loop_check_jacobi(g) == want
+        monkeypatch.setattr(liealg, "check_structure", lambda g: {"pass": True})
+        assert check_jacobi(g)["pass"]
 
     def test_tables_without_antisymmetry(self):
         # brackets only for i > j, as a file may give them: a check that

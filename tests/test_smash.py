@@ -389,6 +389,60 @@ class TestCoalgebra:
         assert counit(alg11.primitive(i12)) == ZERO
 
 
+def _right_twisted_term_product(alg, t1, t2):
+    """(a1 # m1)(a2 # m2) = Ad(a1)(m2) (a1 a2) # m1 m2: the right factor
+    twisted by Ad(a1) in place of the left one by Ad(a2^-1)."""
+    (a1, m1), (a2, m2) = t1, t2
+    prod = normalize_terms(alg.g, [(word_of(m1) + word_of(m2), alg.ad_monomial(a1, m2))])
+    return {(a1 * a2, mon): c for mon, c in prod.items()}
+
+
+def _tensor_mul_without_sign(self, other):
+    """TensorElement.__mul__ without the Koszul sign (-1)^{|x2||y1|}."""
+    out: dict = {}
+    for (x1, x2), c1 in self.terms.items():
+        for (y1, y2), c2 in other.terms.items():
+            for k1, l1 in smash_mod._term_product(self.alg, x1, y1).items():
+                for k2, l2 in smash_mod._term_product(self.alg, x2, y2).items():
+                    add_term(out, (k1, k2), c1 * c2 * l1 * l2)
+    return TensorElement(self.alg, 2, out)
+
+
+def _bialgebra_failures(alg):
+    """(coproduct, counit) failure counts over 40 seeded pairs (u, v):
+    pairs where Delta(uv) != Delta(u) Delta(v), and where
+    eps(uv) != eps(u) eps(v)."""
+    r = rng(7)
+    delta = eps = 0
+    for _ in range(40):
+        u = rand_smash_element(alg, r, degree_cap=2)
+        v = rand_smash_element(alg, r, degree_cap=2)
+        uv = smash_multiply(u, v)
+        delta += coproduct(uv) != coproduct(u) * coproduct(v)
+        eps += counit(uv) != counit(u) * counit(v)
+    return delta, eps
+
+
+class TestBialgebra:
+    """The coproduct and the counit are algebra maps."""
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
+    def test_coproduct_and_counit_are_multiplicative(self, m, n):
+        g, _, rs = build_gl(m, n)
+        assert _bialgebra_failures(SmashAlgebra(g, rs)) == (0, 0)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("mutant", [
+        (smash_mod, "_term_product", _right_twisted_term_product),
+        (TensorElement, "__mul__", _tensor_mul_without_sign),
+    ], ids=["term-product-twists-the-right-factor", "tensor-mul-without-koszul-sign"])
+    def test_mutant_breaks_coproduct_multiplicativity(self, mutant, m, n, monkeypatch):
+        g, _, rs = build_gl(m, n)
+        monkeypatch.setattr(*mutant)
+        delta, _ = _bialgebra_failures(SmashAlgebra(g, rs))
+        assert delta
+
+
 class TestAntipode:
     def test_group_like_inverse(self, alg11):
         a = TorusElement((gr(2), gr(7)))
