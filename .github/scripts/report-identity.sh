@@ -6,7 +6,7 @@
 # Runs every perfbench workload at seed 1 for one second in each checkout;
 # a digest is the sha256 of a suite's JSON report without timing_ms.  Then
 # runs the larger CLI rungs below in each checkout and diffs their reports,
-# also without timing_ms; the last ten read a definition file.
+# also without timing_ms; the last fourteen read a definition file.
 set -euo pipefail
 shopt -s inherit_errexit
 
@@ -44,15 +44,21 @@ RUNGS=(
 # entry, a super-antisymmetric table whose sorted triples check_jacobi
 # scans; "unsigned" gives [E11, E21] explicitly with the sign of
 # [E21, E11], a table that is not super-antisymmetric, so every ordered
-# triple is scanned.
+# triple is scanned.  "permuted" is the base checkout's gl(2|2) build with
+# its root list reversed and its positives remapped and listed in
+# descending order, a root order the builder never writes.
 definition=$(mktemp --suffix=.json)
 doubled=$(mktemp --suffix=.json)
 unsigned=$(mktemp --suffix=.json)
-trap 'rm -f "$definition" "$doubled" "$unsigned"' EXIT
-(cd "$1" && PYTHONPATH=src python3 -m superalg.cli build --algebra gl:2,1) \
-  | python3 -c 'import json, sys; json.dump(json.load(sys.stdin)["values"]["definition"], sys.stdout)' \
-  > "$definition"
-python3 - "$definition" "$doubled" "$unsigned" <<'EOF'
+permuted=$(mktemp --suffix=.json)
+trap 'rm -f "$definition" "$doubled" "$unsigned" "$permuted"' EXIT
+dump_definition() {
+  (cd "$1" && PYTHONPATH=src python3 -m superalg.cli build --algebra "$2") \
+    | python3 -c 'import json, sys; json.dump(json.load(sys.stdin)["values"]["definition"], sys.stdout)'
+}
+dump_definition "$1" gl:2,1 > "$definition"
+dump_definition "$1" gl:2,2 > "$permuted"
+python3 - "$definition" "$doubled" "$unsigned" "$permuted" <<'EOF'
 import copy, json, sys
 
 definition = json.load(open(sys.argv[1]))
@@ -68,6 +74,12 @@ unsigned = copy.deepcopy(definition)
 entry = next(e for e in unsigned["brackets"] if (e["i"], e["j"]) == (e21, e11))
 unsigned["brackets"].append({"i": e11, "j": e21, "result": entry["result"]})
 json.dump(unsigned, open(sys.argv[3], "w"))
+permuted = json.load(open(sys.argv[4]))
+roots = permuted["root_system"]
+last = len(roots["roots"]) - 1
+roots["roots"].reverse()
+roots["positives"] = sorted((last - p for p in roots["positives"]), reverse=True)
+json.dump(permuted, open(sys.argv[4], "w"))
 EOF
 RUNGS+=(
   "check-jacobi --file $definition"
@@ -80,6 +92,10 @@ RUNGS+=(
   "complexify --file $definition"
   "check-jacobi --file $doubled"
   "check-jacobi --file $unsigned"
+  "gamma-check --file $permuted --points 6 --seed 1"
+  "hopf-check --file $permuted --samples 20 --degree-cap 2 --seed 1"
+  "radial --file $permuted --points 2 --weights 15 --seed 1"
+  "casimir --file $permuted --kind casimir2 --check-central"
 )
 
 digests() {

@@ -239,6 +239,13 @@ class RootSystem:
     Weights live in Z^t with the convention that the torus coordinate
     q_i = exp(y_i/2) acts on the root vector X_eps through the eigenvalue
     prod_i z_i^(2 eps_i), i.e. exp(eps(Y)): torus.TorusElement.ad(eps).
+
+    After its two checks the constructor derives each view once: even_roots
+    and odd_roots in roots order, even_positives and odd_positives in
+    positives order, weights (basis index -> weight: root vectors, then the
+    Cartan at the zero weight) and the first root of each (weight, parity),
+    which negative_of reads.  Pairing is not checked: negative_of raises
+    ValueError on a root without an opposite.
     """
 
     def __init__(self, cartan, roots, positives):
@@ -251,30 +258,19 @@ class RootSystem:
                 raise ValueError("weight length must match Cartan rank")
         if not set(self.positives) <= set(range(len(self.roots))):
             raise ValueError("positives must index into roots")
+        pos = [self.roots[i] for i in self.positives]
+        self.even_roots = tuple(r for r in self.roots if r.parity == EVEN)
+        self.odd_roots = tuple(r for r in self.roots if r.parity == ODD)
+        self.even_positives = tuple(r for r in pos if r.parity == EVEN)
+        self.odd_positives = tuple(r for r in pos if r.parity == ODD)
+        self.weights = {r.index: r.weight for r in self.roots}
+        self.weights.update((h, (0,) * t) for h in self.cartan)
+        # reversed, so that the first root of each key is written last
+        self._first = {(r.weight, r.parity): r for r in reversed(self.roots)}
 
     @property
     def rank(self) -> int:
         return len(self.cartan)
-
-    def _split(self, parity, positive_only):
-        ids = self.positives if positive_only else range(len(self.roots))
-        return [self.roots[i] for i in ids if self.roots[i].parity == parity]
-
-    @property
-    def even_roots(self):
-        return self._split(EVEN, False)
-
-    @property
-    def odd_roots(self):
-        return self._split(ODD, False)
-
-    @property
-    def even_positives(self):
-        return self._split(EVEN, True)
-
-    @property
-    def odd_positives(self):
-        return self._split(ODD, True)
 
     @property
     def simple_roots(self):
@@ -290,12 +286,12 @@ class RootSystem:
         ]
 
     def negative_of(self, root: Root) -> Root:
-        """The opposite root with the same parity; roots come in +/- pairs."""
-        target = tuple(-w for w in root.weight)
-        for r in self.roots:
-            if r.weight == target and r.parity == root.parity:
-                return r
-        raise ValueError(f"no opposite for root {root}")
+        """The first root of the opposite weight and the same parity; roots
+        come in +/- pairs."""
+        opposite = self._first.get((tuple(-w for w in root.weight), root.parity))
+        if opposite is None:
+            raise ValueError(f"no opposite for root {root}")
+        return opposite
 
     def validate(self, g: LieSuperalgebra) -> dict:
         """Eigen-equations [H_c, X_eps] = eps_c X_eps for every root."""
@@ -670,11 +666,9 @@ def _check_root_system(rs: RootSystem, g: LieSuperalgebra, validate=True) -> Non
                 f"root_system: weight of {g.names[r.index]} has an entry beyond "
                 f"+-{MAX_ROOT_WEIGHT}"
             )
-    weight = {h: (0,) * rs.rank for h in rs.cartan}
-    weight.update((r.index, r.weight) for r in rs.roots)
     for (i, j), vec in g.table.items():
-        w = tuple(a + b for a, b in zip(weight[i], weight[j]))
-        if any(weight[k] != w for k in vec):
+        w = tuple(a + b for a, b in zip(rs.weights[i], rs.weights[j]))
+        if any(rs.weights[k] != w for k in vec):
             raise ValueError(f"root_system: [{g.names[i]}, {g.names[j]}] leaves weight {list(w)}")
 
 

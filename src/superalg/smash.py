@@ -24,7 +24,8 @@ Delta(a # m) carries the same point a on both legs, so the antipode axioms
 meet one point, its inverse and their Ad eigenvalues once per term.  That
 work is done once per point instead, and kept on the point
 (torus.TorusElement): SmashAlgebra.ad_monomial looks up each letter's
-weight w and reads a.ad(w) off the point.
+weight w in the root system's weights, derived once when the root system
+is built, and reads a.ad(w) off the point.
 
 The product of two terms skips the work its trivial legs make redundant: no
 Ad scalar for an identity point on the right or an empty monomial on the
@@ -75,16 +76,15 @@ _MINUS_ONE = gr(-1)
 class SmashAlgebra:
     """Context object tying a type I algebra to its torus action.
 
-    weights maps the basis index of each Cartan generator to the zero
-    weight and that of each root vector to its root's weight; nothing in
-    the algebra changes after it is built."""
+    weights is the root system's own map RootSystem.weights, not a copy:
+    each root vector's basis index to its weight, each Cartan generator's
+    to the zero weight; nothing in the algebra changes after it is built."""
 
     def __init__(self, g: LieSuperalgebra, rs: RootSystem):
         self.g = g
         self.rs = rs
         self.t = rs.rank
-        self.weights = {r.index: r.weight for r in rs.roots}
-        self.weights.update((h, (0,) * self.t) for h in rs.cartan)
+        self.weights = rs.weights
 
     def unit(self) -> "SmashElement":
         return SmashElement(
@@ -415,8 +415,9 @@ def _first_difference(lhs, rhs) -> str:
 
 def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: int = 2) -> dict:
     """Evaluate antipode identities, counit laws, coassociativity and super
-    co-commutativity on seeded random elements; exact pass/fail.  Raises
-    ValueError when samples < 1: a check of nothing does not pass."""
+    co-commutativity on seeded random elements; exact pass/fail.  failures
+    holds the first failure of each failing check, in order of occurrence.
+    Raises ValueError when samples < 1: a check of nothing does not pass."""
     from .sampling import rand_smash_element, rng
 
     if samples < 1:
@@ -447,7 +448,7 @@ def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: in
         for name, (lhs, rhs) in sides.items():
             if lhs == rhs:
                 checks[name] += 1
-            else:
+            elif checks[name] == trial:  # its first failure
                 failures.append(
                     {"check": name, "trial": trial, "witness": repr(u),
                      "detail": _first_difference(lhs, rhs)}
@@ -457,7 +458,7 @@ def check_hopf_axioms(alg: SmashAlgebra, samples: int, seed: int, degree_cap: in
         "samples": samples,
         "seed": seed,
         "checks": checks,
-        "failures": failures[:5],
+        "failures": failures,
     }
 
 

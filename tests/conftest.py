@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.liealg import build_gl
+from superalg.liealg import build_gl, dump_definition
 from superalg.linalg import add_term
 from superalg.pbw import monomial_of_sorted_word
 from superalg.scalars import ZERO
@@ -23,6 +23,23 @@ def gl21():
 @pytest.fixture(scope="session")
 def gl22():
     return build_gl(2, 2)
+
+
+@pytest.fixture(scope="session")
+def permuted_definition():
+    """permuted_definition(m, n): the builder's gl(m|n) definition with its
+    root list reversed and its positives remapped and listed in descending
+    order, a root order the builder never writes."""
+
+    def permute(m, n):
+        data = dump_definition(*build_gl(m, n))
+        rsd = data["root_system"]
+        last = len(rsd["roots"]) - 1
+        rsd["roots"].reverse()
+        rsd["positives"] = sorted((last - p for p in rsd["positives"]), reverse=True)
+        return data
+
+    return permute
 
 
 @pytest.fixture(scope="session")

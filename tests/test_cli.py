@@ -243,6 +243,32 @@ class TestFiles:
         assert rep["values"]["sign"] == builtin["values"]["sign"] == 1
         assert rep["values"]["skipped"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma-check", "--points", "6", "--seed", "1"],
+            ["hopf-check", "--samples", "20", "--degree-cap", "2", "--seed", "1"],
+            ["radial", "--points", "2", "--weights", "15", "--seed", "1"],
+            ["casimir", "--kind", "casimir2", "--check-central"],
+        ],
+    )
+    def test_reports_do_not_depend_on_the_root_order(
+        self, argv, permuted_definition, capsys, tmp_path
+    ):
+        reports = []
+        for name, data in (
+            ("builder.json", dump_definition(*build_gl(2, 2))),
+            ("permuted.json", permuted_definition(2, 2)),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            status, rep = run_main(argv + ["--file", str(path)], capsys)
+            assert status == 0, name
+            rep = without_timing(rep)
+            rep.pop("algebra")
+            reports.append(rep)
+        assert reports[0] == reports[1]
+
     def test_rank_zero_cartan_projection_is_empty(self, capsys, tmp_path):
         # no Cartan generator: the projection is a polynomial in 0 variables,
         # here 0, since the Casimir 2 AB has no constant term

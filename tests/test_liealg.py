@@ -12,6 +12,7 @@ from superalg.errors import DegenerateForm, ParseError, ZeroTorusCoordinate
 from superalg.liealg import (
     LieSuperalgebra,
     QuadraticForm,
+    Root,
     RootSystem,
     build_gl,
     check_jacobi,
@@ -661,3 +662,82 @@ class TestGeneratingSet:
         first = rs.simple_roots[:1]
         monkeypatch.setattr(RootSystem, "simple_roots", property(lambda rs: first))
         assert generating_set(g, rs) == tuple(range(g.dim))
+
+
+# The per-read code that RootSystem's derived views replaced, kept as the
+# oracle: each split rebuilt from the index lists, SmashAlgebra's own weight
+# map, and the scan of every root for an opposite.
+
+
+def scanned_split(rs, parity, positive_only):
+    ids = rs.positives if positive_only else range(len(rs.roots))
+    return [rs.roots[i] for i in ids if rs.roots[i].parity == parity]
+
+
+def scanned_weights(rs):
+    weights = {r.index: r.weight for r in rs.roots}
+    weights.update((h, (0,) * rs.rank) for h in rs.cartan)
+    return weights
+
+
+def scanned_negative_of(rs, root):
+    target = tuple(-w for w in root.weight)
+    for r in rs.roots:
+        if r.weight == target and r.parity == root.parity:
+            return r
+    raise ValueError(f"no opposite for root {root}")
+
+
+class TestRootSystemViews:
+    SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+
+    def assert_views_match_the_scans(self, g, rs):
+        for parity, roots, positives in (
+            (0, rs.even_roots, rs.even_positives),
+            (1, rs.odd_roots, rs.odd_positives),
+        ):
+            assert list(roots) == scanned_split(rs, parity, False)
+            assert list(positives) == scanned_split(rs, parity, True)
+        # same entries in the same order: root vectors, then the Cartan
+        assert list(rs.weights.items()) == list(scanned_weights(rs).items())
+        alg = SmashAlgebra(g, rs)
+        assert alg.weights is rs.weights
+        assert alg.weights == scanned_weights(rs)
+        for r in rs.roots:
+            assert rs.negative_of(r) is scanned_negative_of(rs, r)
+
+    @pytest.mark.parametrize("mn", SHAPES)
+    def test_builder(self, mn):
+        g, _, rs = build_gl(*mn)
+        self.assert_views_match_the_scans(g, rs)
+
+    def test_permuted_roots(self, permuted_definition):
+        loaded = load_definition(permuted_definition(2, 2))
+        g, rs = loaded["algebra"], loaded["root_system"]
+        # the positives are not listed in roots order
+        assert list(rs.even_positives) != [r for r in rs.even_roots if r in rs.even_positives]
+        assert list(rs.odd_positives) != [r for r in rs.odd_roots if r in rs.odd_positives]
+        self.assert_views_match_the_scans(g, rs)
+
+    def test_repeated_weight_and_parity_give_the_first_root(self):
+        roots = [Root((1, -1), 0, 2), Root((1, -1), 0, 3), Root((-1, 1), 0, 4)]
+        rs = RootSystem((0, 1), roots, [0])
+        assert rs.negative_of(roots[2]) is roots[0]
+        assert scanned_negative_of(rs, roots[2]) is roots[0]
+        assert rs.negative_of(roots[0]) is rs.negative_of(roots[1]) is roots[2]
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [Root((1,), 1, 1)],
+            # the opposite weight with the other parity is no opposite
+            [Root((1,), 0, 1), Root((-1,), 1, 2)],
+        ],
+    )
+    def test_unpaired_root_builds_and_raises_at_negative_of(self, roots):
+        rs = RootSystem((0,), roots, [0])
+        with pytest.raises(ValueError) as want:
+            scanned_negative_of(rs, roots[0])
+        with pytest.raises(ValueError) as got:
+            rs.negative_of(roots[0])
+        assert str(got.value) == str(want.value) == f"no opposite for root {roots[0]}"

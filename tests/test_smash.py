@@ -775,6 +775,33 @@ class TestHopfChecksCatchDefects:
         assert not rep["pass"]
         assert rep["failures"][0]["witness"]
 
+    def test_every_failing_cli_row_has_a_witness(self, capsys, monkeypatch):
+        # with both defects, the antipode checks fail from trial 0 and
+        # super_cocommutativity first at trial 7, after the run's first five
+        # failures, all antipode ones: each failing row still names its own
+        from superalg.cli import main
+
+        for defect in ("antipode-as-homomorphism", "twist-without-sign"):
+            name, make, _ = _HOPF_DEFECTS[defect]
+            monkeypatch.setattr(smash_mod, name, make(getattr(smash_mod, name)))
+        argv = ["hopf-check", "--algebra", "gl:1,1", "--samples", "60", "--seed", "1"]
+        assert main(argv) == 1
+        rep = json.loads(capsys.readouterr().out)
+        failing = {r["check"]: r["witness"] for r in rep["results"] if not r["pass"]}
+        assert set(failing) == {"antipode_left", "antipode_right", "super_cocommutativity"}
+        for check, witness in failing.items():
+            assert witness is not None and witness["check"] == check, check
+        assert failing["super_cocommutativity"]["trial"] == 7
+
+    def test_failures_hold_the_first_of_each_check(self, alg11, monkeypatch):
+        name, make, _ = _HOPF_DEFECTS["antipode-as-homomorphism"]
+        monkeypatch.setattr(smash_mod, name, make(getattr(smash_mod, name)))
+        monkeypatch.setattr(smash_mod, "_twist", _twist_without_sign)
+        rep = check_hopf_axioms(alg11, samples=60, seed=1)
+        assert [(f["check"], f["trial"]) for f in rep["failures"]] == [
+            ("antipode_right", 0), ("antipode_left", 0), ("super_cocommutativity", 7),
+        ]
+
     def test_every_check_has_a_defect(self, alg11):
         names = set(check_hopf_axioms(alg11, samples=1, seed=0)["checks"])
         caught = set().union(*(fails for _, _, fails in _HOPF_DEFECTS.values()))
