@@ -6,7 +6,7 @@
 # Runs every perfbench workload at seed 1 for one second in each checkout;
 # a digest is the sha256 of a suite's JSON report without timing_ms.  Then
 # runs the larger CLI rungs below in each checkout and diffs their reports,
-# also without timing_ms; the last fourteen read a definition file.
+# also without timing_ms; the last sixteen read a definition file.
 set -euo pipefail
 shopt -s inherit_errexit
 
@@ -44,9 +44,11 @@ RUNGS=(
 # entry, a super-antisymmetric table whose sorted triples check_jacobi
 # scans; "unsigned" gives [E11, E21] explicitly with the sign of
 # [E21, E11], a table that is not super-antisymmetric, so every ordered
-# triple is scanned.  "permuted" is the base checkout's gl(2|2) build with
-# its root list reversed and its positives remapped and listed in
-# descending order, a root order the builder never writes.
+# triple is scanned.  build reports both, its structure row and
+# check_jacobi reading one structure report.  "permuted" is the base
+# checkout's gl(2|2) build with its root list reversed and its positives
+# remapped and listed in descending order, a root order the builder never
+# writes.
 definition=$(mktemp --suffix=.json)
 doubled=$(mktemp --suffix=.json)
 unsigned=$(mktemp --suffix=.json)
@@ -92,6 +94,8 @@ RUNGS+=(
   "complexify --file $definition"
   "check-jacobi --file $doubled"
   "check-jacobi --file $unsigned"
+  "build --file $doubled"
+  "build --file $unsigned"
   "gamma-check --file $permuted --points 6 --seed 1"
   "hopf-check --file $permuted --samples 20 --degree-cap 2 --seed 1"
   "radial --file $permuted --points 2 --weights 15 --seed 1"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DegenerateForm, ParseError
@@ -34,8 +35,8 @@ MAX_ROOT_WEIGHT = 64
 class LieSuperalgebra:
     """Basis with parities plus the full bracket table c[i][j].
 
-    Tables the package builds are trusted; from_json checks a file's with
-    check_structure."""
+    Its views right and structure are derived on first use and kept.
+    load_definition checks a file's table with check_structure."""
 
     def __init__(self, names, parities, table, meta=None):
         self.names = tuple(names)
@@ -58,6 +59,37 @@ class LieSuperalgebra:
 
     def bracket(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
+
+    @cached_property
+    def right(self) -> dict:
+        """right[x] = {k: [X_x, X_k]} over the k with a nonzero bracket, in k
+        order; right[x].get(t) is bracket(x, t)."""
+        right: dict = {}
+        for x, k in sorted(self.table):
+            right.setdefault(x, {})[k] = self.table[(x, k)]
+        return right
+
+    @cached_property
+    def structure(self) -> dict:
+        """check_structure's report, witness the first failing pair."""
+        for i in range(self.dim):
+            for j in range(self.dim):
+                b_ij = self.bracket(i, j)
+                want = (self.parities[i] + self.parities[j]) % 2
+                for k in b_ij:
+                    if self.parities[k] != want:
+                        return {
+                            "pass": False,
+                            "check": "parity-closure",
+                            "witness": f"[{self.names[i]},{self.names[j]}] hits {self.names[k]}",
+                        }
+                if b_ij != _mirrored(self.parities, j, i, self.bracket(j, i)):
+                    return {
+                        "pass": False,
+                        "check": "super-antisymmetry",
+                        "witness": f"({self.names[i]}, {self.names[j]})",
+                    }
+        return {"pass": True, "check": "structure", "witness": None}
 
     def bracket_vec(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -90,10 +122,9 @@ class LieSuperalgebra:
         }
 
     @classmethod
-    def from_json(cls, data: dict, validate=True) -> "LieSuperalgebra":
+    def from_json(cls, data: dict) -> "LieSuperalgebra":
         """The algebra a definition's generators and brackets give; ParseError
-        when they are malformed or, unless validate is False, when the table
-        fails check_structure."""
+        when they are malformed or an ordered pair (i, j) is given twice."""
         try:
             gens = data["generators"]
             if not gens:
@@ -111,6 +142,8 @@ class LieSuperalgebra:
                 i, j = json_int(ent["i"]), json_int(ent["j"])
                 if not (0 <= i < n and 0 <= j < n):
                     raise ParseError(f"bracket entry ({i},{j}) out of range")
+                if (i, j) in table:
+                    raise ParseError(f"bracket entry [{names[i]}, {names[j]}] is repeated")
                 vec = {}
                 for item in ent["result"]:
                     re_part, im_part, k = item
@@ -125,12 +158,7 @@ class LieSuperalgebra:
             for (i, j) in list(table):
                 if (j, i) not in table:
                     table[(j, i)] = _mirrored(parities, i, j, table[(i, j)])
-            g = cls(names, parities, table)
-            if validate:
-                rep = check_structure(g)
-                if not rep["pass"]:
-                    raise ValueError(f"invalid structure table: {rep['witness']}")
-            return g
+            return cls(names, parities, table)
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
@@ -151,7 +179,7 @@ def _frac_load(item):
 
 class QuadraticForm:
     """Invariant supersymmetric even non-degenerate bilinear form, as a
-    Gram matrix on the algebra basis."""
+    Gram matrix on the algebra basis; its inverse is kept on first use."""
 
     def __init__(self, gram):
         self.gram = tuple(tuple(row) for row in gram)
@@ -165,6 +193,11 @@ class QuadraticForm:
 
     def b(self, i: int, j: int) -> GaussianRational:
         return self.gram[i][j]
+
+    @cached_property
+    def gram_inverse(self):
+        """The inverse of the Gram matrix; None when it is singular."""
+        return inv([list(r) for r in self.gram])
 
     def validate(self, g: LieSuperalgebra) -> dict:
         """Check even / supersymmetric / invariant / non-degenerate; the
@@ -193,7 +226,6 @@ class QuadraticForm:
         # the first from the nonzero Gram rows, the second from the k with
         # [X_j, X_k] != 0
         rows = [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in self.gram]
-        right = _right_brackets(g)
         for i in range(n):
             row_i = rows[i]
             for j in range(n):
@@ -201,7 +233,7 @@ class QuadraticForm:
                 for t, c in g.bracket(i, j).items():
                     add_scaled(lhs, rows[t], c)
                 rhs: dict = {}
-                for k, vec in right.get(j, {}).items():
+                for k, vec in g.right.get(j, {}).items():
                     for t, c in vec.items():
                         b = row_i.get(t)
                         if b is not None:
@@ -213,7 +245,7 @@ class QuadraticForm:
                         "check": "invariant",
                         "witness": [g.names[i], g.names[j], g.names[k]],
                     }
-        if inv([list(r) for r in self.gram]) is None:
+        if self.gram_inverse is None:
             return {"pass": False, "check": "non-degenerate", "witness": None}
         return {"pass": True, "witness": None}
 
@@ -242,10 +274,10 @@ class RootSystem:
 
     After its two checks the constructor derives each view once: even_roots
     and odd_roots in roots order, even_positives and odd_positives in
-    positives order, weights (basis index -> weight: root vectors, then the
-    Cartan at the zero weight) and the first root of each (weight, parity),
-    which negative_of reads.  Pairing is not checked: negative_of raises
-    ValueError on a root without an opposite.
+    positives order, the Jacobian frame even_basis (Cartan, even roots) and
+    odd_basis, weights (index -> weight) and the first root of each
+    (weight, parity), which negative_of reads.  Pairing is not checked:
+    negative_of raises ValueError on a root without an opposite.
     """
 
     def __init__(self, cartan, roots, positives):
@@ -263,6 +295,8 @@ class RootSystem:
         self.odd_roots = tuple(r for r in self.roots if r.parity == ODD)
         self.even_positives = tuple(r for r in pos if r.parity == EVEN)
         self.odd_positives = tuple(r for r in pos if r.parity == ODD)
+        self.even_basis = self.cartan + tuple(r.index for r in self.even_roots)
+        self.odd_basis = tuple(r.index for r in self.odd_roots)
         self.weights = {r.index: r.weight for r in self.roots}
         self.weights.update((h, (0,) * t) for h in self.cartan)
         # reversed, so that the first root of each key is written last
@@ -408,35 +442,8 @@ def build_gl(m: int, n: int):
 
 
 def check_structure(g: LieSuperalgebra) -> dict:
-    """Parity closure and super-antisymmetry of the bracket table."""
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            b_ij = g.bracket(i, j)
-            want = (g.parities[i] + g.parities[j]) % 2
-            for k in b_ij:
-                if g.parities[k] != want:
-                    return {
-                        "pass": False,
-                        "check": "parity-closure",
-                        "witness": f"[{g.names[i]},{g.names[j]}] hits {g.names[k]}",
-                    }
-            if b_ij != _mirrored(g.parities, j, i, g.bracket(j, i)):
-                return {
-                    "pass": False,
-                    "check": "super-antisymmetry",
-                    "witness": f"({g.names[i]}, {g.names[j]})",
-                }
-    return {"pass": True, "check": "structure", "witness": None}
-
-
-def _right_brackets(g: LieSuperalgebra) -> dict:
-    """right[x] = {k: [X_x, X_k]} over the k with a nonzero bracket, in k
-    order, read off the table once; right[x].get(t) is bracket(x, t)."""
-    right: dict = {}
-    for x, k in sorted(g.table):
-        right.setdefault(x, {})[k] = g.table[(x, k)]
-    return right
+    """Parity closure and super-antisymmetry of the table, kept on g."""
+    return g.structure
 
 
 def check_jacobi(g: LieSuperalgebra) -> dict:
@@ -444,8 +451,8 @@ def check_jacobi(g: LieSuperalgebra) -> dict:
     [X,[Y,Z]] = [[X,Y],Z] + (-1)^{|X||Y|} [Y,[X,Z]] for all basis triples.
 
     For each pair (i, j) the defects of every k are accumulated at once from
-    the right-adjacency lists of _right_brackets, so only the k where some
-    bracket is nonzero are visited.  Each defect receives its terms in the
+    the adjacency lists g.right, so only the k where some bracket is
+    nonzero are visited.  Each defect receives its terms in the
     order a triple-at-a-time loop would add them, and the witness is the
     least failing k of the first failing pair.
 
@@ -460,9 +467,9 @@ def check_jacobi(g: LieSuperalgebra) -> dict:
     defect's terms are those of the full scan, and checked still counts
     the n^3 triples certified.  A table that fails check_structure, as a
     file given to build or check-jacobi may, is scanned over every ordered
-    triple."""
+    triple.  The structure report is g's, shared with every other reader."""
     n = g.dim
-    right = _right_brackets(g)
+    right = g.right
     alternating = check_structure(g)["pass"]
     for i in range(n):
         right_i = right.get(i, {})
@@ -576,7 +583,7 @@ def theta_dual(form: QuadraticForm) -> list:
 
     M is the inverse transpose of the Gram matrix; DegenerateForm if singular.
     """
-    gi = inv([list(r) for r in form.gram])
+    gi = form.gram_inverse
     if gi is None:
         raise DegenerateForm("gram matrix is singular")
     n = form.dim
@@ -614,7 +621,11 @@ def load_definition(text_or_dict, validate=True):
         data = text_or_dict
     if not isinstance(data, dict):
         raise ParseError("a definition is a JSON object")
-    g = LieSuperalgebra.from_json(data, validate=validate)
+    g = LieSuperalgebra.from_json(data)
+    if validate and not check_structure(g)["pass"]:
+        raise ParseError(
+            f"malformed algebra definition: invalid structure table: {g.structure['witness']}"
+        )
     out = {"algebra": g}
     try:
         if "form" in data:

@@ -495,23 +495,16 @@ def conjugation_pullback(
     return alg.group_like(b) * x * alg.group_like(b.inverse())
 
 
-def _root_orders(rs: RootSystem):
-    """Index lists defining the matrix frame: Cartan + even roots | odd roots."""
-    even_ids = [r.index for r in rs.even_roots]
-    odd_ids = [r.index for r in rs.odd_roots]
-    return list(rs.cartan) + even_ids, odd_ids
-
-
 def jacobian_at(alg: SmashAlgebra, a: TorusElement) -> SuperMatrix:
     """Linearization of conjugation at (a, e), read off conjugation_pullback
-    in the Cartan + root-vector frame of _root_orders: the column of a
+    in the frame rs.even_basis | rs.odd_basis: the column of a
     Cartan generator H is the image of (a # H, e # 1), that of a root
     vector X the image of (a # 1, e # X).  Each image is a sum of terms
     a # X' with X' a generator of the column's parity, so the columns fill
     the two dense even blocks."""
     e = TorusElement.identity(alg.t)
     blocks = []
-    for ids in _root_orders(alg.rs):
+    for ids in (alg.rs.even_basis, alg.rs.odd_basis):
         row = {idx: k for k, idx in enumerate(ids)}
         block = [[ZERO] * len(ids) for _ in ids]
         for col, idx in enumerate(ids):
@@ -534,10 +527,9 @@ def orthosymplectic_frame(rs: RootSystem, form: QuadraticForm):
     Returns (F_even, F_odd) as column matrices in the jacobian_at frame;
     DegenerateForm when an odd root pairs to zero with its opposite.
     """
-    even_ids, odd_ids = _root_orders(rs)
-    even_pos = {idx: k for k, idx in enumerate(even_ids)}
-    odd_pos = {idx: k for k, idx in enumerate(odd_ids)}
-    ne, no = len(even_ids), len(odd_ids)
+    even_pos = {idx: k for k, idx in enumerate(rs.even_basis)}
+    odd_pos = {idx: k for k, idx in enumerate(rs.odd_basis)}
+    ne, no = len(even_pos), len(odd_pos)
     fe = [[ZERO] * ne for _ in range(ne)]
     fo = [[ZERO] * no for _ in range(no)]
     col = 0
@@ -582,15 +574,14 @@ def check_frame(rs: RootSystem, form: QuadraticForm) -> None:
     fe, fo = orthosymplectic_frame(rs, form)
     if inv(fe) is None or inv(fo) is None:
         raise DegenerateForm("frame construction failed")
-    even_ids, odd_ids = _root_orders(rs)
-    for i, row in enumerate(_gram_in_frame(form, even_ids, fe)):
+    for i, row in enumerate(_gram_in_frame(form, rs.even_basis, fe)):
         for j, x in enumerate(row):
             if x.is_zero() == (i == j):
                 raise DegenerateForm("frame does not diagonalize the even form")
     symplectic = [[ZERO] * len(fo) for _ in fo]
     for c in range(0, len(fo), 2):
         symplectic[c][c + 1], symplectic[c + 1][c] = ONE, -ONE
-    if _gram_in_frame(form, odd_ids, fo) != symplectic:
+    if _gram_in_frame(form, rs.odd_basis, fo) != symplectic:
         raise DegenerateForm("frame does not make the odd form symplectic")
 
 

@@ -469,6 +469,30 @@ class TestCheckFailures:
         assert row["check"] == "central" and row["pass"] is False
         assert row["witness"]["generator"]
 
+    def test_casimir_certifies_centrality_without_the_flag(self, capsys, monkeypatch):
+        # injected defect: casimir2 with the word V_i V_k in place of V_k V_i,
+        # the element of tests/test_pbw.py's untransposed-word-order test
+        import superalg.cli as cli
+        from superalg.liealg import theta_dual
+        from superalg.pbw import PBWElement, normalize_terms
+
+        argv = ["casimir", "--algebra", "gl:1,1", "--order", "2"]
+        status, rep = run_main(argv, capsys)
+        assert status == 0
+        assert [r["check"] for r in rep["results"]] == ["central"]
+
+        def untransposed(g, form):
+            m = theta_dual(form)
+            items = [((i, k), c) for i, row in enumerate(m) for k, c in enumerate(row) if not c.is_zero()]
+            return PBWElement(g, normalize_terms(g, items))
+
+        monkeypatch.setattr(cli, "casimir2", untransposed)
+        status, rep = run_main(argv, capsys)
+        assert status == 1 and rep["pass"] is False
+        (row,) = rep["results"]
+        assert row["check"] == "central" and row["pass"] is False
+        assert row["witness"]["generator"] == "E21"
+
     def test_broken_hopf_check_exits_1_with_witness(self, capsys, monkeypatch):
         # a super flip that forgets the Koszul sign breaks co-commutativity
         import superalg.smash as smash
@@ -776,6 +800,14 @@ class TestInputBoundary:
             (["gamma-check", "--points", "2"], "repeated-name", "generator name 'E22' is repeated"),
             (["radial", "--points", "2", "--weights", "6"], "repeated-name",
              "generator name 'E22' is repeated"),
+            # [E21, E11] given twice, once doubled: the last copy once won
+            # silently, so these passed or failed by the order of the file
+            *[
+                (argv, f"repeated-bracket-{place}", "bracket entry [E21, E11] is repeated")
+                for argv in (["build"], ["check-jacobi"], ["casimir", "--order", "2"],
+                             ["hopf-check", "--samples", "3"])
+                for place in ("first", "last")
+            ],
         ],
     )
     def test_definition_file_rejected_with_exit_2(
@@ -871,6 +903,11 @@ class TestInputBoundary:
         elif definition == "repeated-name":
             assert data["generators"][0]["name"] == "E21"
             data["generators"][0]["name"] = "E22"
+        elif definition.startswith("repeated-bracket-"):
+            ent = data["brackets"][0]
+            assert [g.names[ent["i"]], g.names[ent["j"]]] == ["E21", "E11"]
+            doubled = {**ent, "result": [[[2 * re[0], re[1]], im, k] for re, im, k in ent["result"]]}
+            data["brackets"].insert(0 if definition.endswith("first") else len(data["brackets"]), doubled)
         elif definition == "antisymmetry":
             # [E11, E21] given equal to [E21, E11] instead of its negative
             i11, i21 = g.names.index("E11"), g.names.index("E21")
@@ -983,3 +1020,75 @@ class TestCommandOptions:
         _, other = run(RunConfig(command, "gl:1,1", **base, **moved))
         assert other["results"] == plain["results"]
         assert other.get("values") == plain.get("values")
+
+
+class TestDefinitionViewsDerivedOnce:
+    """A run scans each algebra's table for structure once and builds its
+    adjacency lists once, inverts each Gram matrix at most once, and derives
+    the Jacobian frame once per root system, not at every torus point."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """Counters of each derivation, by the object it was derived for."""
+        from collections import Counter
+
+        import superalg.smash as smash
+        from superalg.liealg import LieSuperalgebra, QuadraticForm, RootSystem
+
+        counts = {name: Counter() for name in ("structure", "right", "gram_inverse", "frame")}
+        counts["points"] = Counter()
+        kept = []  # keeps every counted object alive, so that no id is reused
+
+        def counting(name, real):
+            def wrapped(obj, *args):
+                kept.append(obj)
+                counts[name][id(obj)] += 1
+                return real(obj, *args)
+
+            return wrapped
+
+        for cls, name in (
+            (LieSuperalgebra, "structure"), (LieSuperalgebra, "right"), (QuadraticForm, "gram_inverse")
+        ):
+            view = cls.__dict__[name]
+            monkeypatch.setattr(view, "func", counting(name, view.func))
+        monkeypatch.setattr(RootSystem, "__init__", counting("frame", RootSystem.__init__))
+        monkeypatch.setattr(smash, "jacobian_at", counting("points", smash.jacobian_at))
+        return counts
+
+    def assert_once(self, counts, argv, forms):
+        assert counts["structure"] and set(counts["structure"].values()) == {1}, argv
+        assert counts["right"] and set(counts["right"].values()) == {1}, argv
+        assert len(counts["gram_inverse"]) == forms and set(counts["gram_inverse"].values()) <= {1}, argv
+        assert list(counts["frame"].values()) == [1], argv
+
+    @pytest.mark.parametrize("command", ["build", "check-jacobi"])
+    def test_builder(self, command, derived, capsys):
+        argv = [command, "--algebra", "gl:2,2"]
+        status, _ = run_main(argv, capsys)
+        assert status == 0
+        self.assert_once(derived, argv, forms=int(command == "build"))
+
+    @pytest.mark.parametrize(
+        "argv, forms",
+        [
+            (["build"], 1),
+            (["check-jacobi"], 0),
+            (["casimir", "--kind", "casimir2"], 1),
+            (["hopf-check", "--samples", "4", "--degree-cap", "2"], 0),
+            (["jstruct-check"], 0),
+            (["gamma-check", "--points", "3"], 1),
+            (["radial", "--points", "2", "--weights", "12"], 1),
+            (["complexify"], 0),
+        ],
+    )
+    def test_definition_file(self, argv, forms, derived, capsys, tmp_path):
+        path = tmp_path / "gl21.json"
+        path.write_text(json.dumps(dump_definition(*build_gl(2, 1))))
+        for counts in derived.values():
+            counts.clear()
+        status, _ = run_main(argv + ["--file", str(path)], capsys)
+        assert status == 0
+        self.assert_once(derived, argv, forms)
+        if argv[0] in ("gamma-check", "radial"):
+            assert sum(derived["points"].values()) >= 2

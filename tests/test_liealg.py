@@ -3,12 +3,14 @@ oracle: elementary matrices multiplied as plain arrays, with the graded
 commutator and supertrace computed from first principles."""
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import superalg.liealg as liealg
 from superalg.errors import DegenerateForm, ParseError, ZeroTorusCoordinate
+from superalg.jstruct import realify
 from superalg.liealg import (
     LieSuperalgebra,
     QuadraticForm,
@@ -573,6 +575,20 @@ class TestDefinitionFiles:
             load_definition("{ not json }")
         assert "line" in str(exc.value)
 
+    def test_mirror_entry_beside_its_pair_loads(self, gl21):
+        # (j, i) given next to (i, j) is a second ordered pair, not a repeat:
+        # to_json writes both for a table that is not super-antisymmetric
+        g, form, rs = gl21
+        data = dump_definition(g, form, rs)
+        e11, e21 = g.names.index("E11"), g.names.index("E21")
+        ent = next(b for b in data["brackets"] if (b["i"], b["j"]) == (e21, e11))
+        data["brackets"].append(
+            {"i": e11, "j": e21, "result": [[[-re[0], re[1]], im, k] for re, im, k in ent["result"]]}
+        )
+        assert load_definition(data)["algebra"].table == g.table
+        unsigned = LieSuperalgebra(g.names, g.parities, {**g.table, (e11, e21): g.table[(e21, e11)]})
+        assert LieSuperalgebra.from_json(unsigned.to_json()).table == unsigned.table
+
     def test_parse_error_on_bad_schema(self):
         with pytest.raises(ParseError):
             load_definition('{"generators": [{"name": "X"}]}')
@@ -741,3 +757,82 @@ class TestRootSystemViews:
         with pytest.raises(ValueError) as got:
             rs.negative_of(roots[0])
         assert str(got.value) == str(want.value) == f"no opposite for root {roots[0]}"
+
+
+# The code that the kept views of the table and the root system replaced,
+# kept as the oracle: the adjacency loop that check_jacobi and
+# QuadraticForm.validate each ran on every call, and the frame index lists
+# that jacobian_at rebuilt at every torus point.
+
+
+def looped_right_brackets(g):
+    right = {}
+    for x, k in sorted(g.table):
+        right.setdefault(x, {})[k] = g.table[(x, k)]
+    return right
+
+
+def looped_root_orders(rs):
+    even_ids = [r.index for r in rs.even_roots]
+    odd_ids = [r.index for r in rs.odd_roots]
+    return list(rs.cartan) + even_ids, odd_ids
+
+
+def in_order(right):
+    """The adjacency lists with their order: x ascending, then k."""
+    return [(x, list(row.items())) for x, row in right.items()]
+
+
+class TestDefinitionViews:
+    SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+
+    def assert_table_views(self, g):
+        assert in_order(g.right) == in_order(looped_right_brackets(g))
+        assert check_structure(g) is check_structure(g) is g.structure
+
+    @pytest.mark.parametrize("mn", SHAPES)
+    def test_builder(self, mn):
+        g, form, rs = build_gl(*mn)
+        self.assert_table_views(g)
+        assert g.structure["pass"]
+        assert form.gram_inverse == inv([list(r) for r in form.gram])
+        assert (list(rs.even_basis), list(rs.odd_basis)) == looped_root_orders(rs)
+
+    def test_realified(self, gl11):
+        real, _ = realify(gl11[0])
+        self.assert_table_views(real)
+
+    def test_table_failing_check_structure(self, gl21):
+        # [E11, E21] given with the sign of [E21, E11]
+        g = gl21[0]
+        e11, e21 = g.names.index("E11"), g.names.index("E21")
+        bad = LieSuperalgebra(g.names, g.parities, {**g.table, (e11, e21): g.table[(e21, e11)]})
+        self.assert_table_views(bad)
+        assert bad.structure["check"] == "super-antisymmetry"
+
+    def test_permuted_roots(self, permuted_definition):
+        rs = load_definition(permuted_definition(2, 2))["root_system"]
+        assert (list(rs.even_basis), list(rs.odd_basis)) == looped_root_orders(rs)
+
+    def test_singular_gram_has_no_inverse(self):
+        form = QuadraticForm([[ONE, ZERO], [ZERO, ZERO]])
+        assert form.gram_inverse is None
+        rep = form.validate(LieSuperalgebra(["A", "B"], [0, 0], {}))
+        assert rep == {"pass": False, "check": "non-degenerate", "witness": None}
+
+    def test_pickle_keeps_every_view(self):
+        g, form, rs = build_gl(2, 1)
+        views = {
+            g: ("right", "structure"),
+            form: ("gram_inverse",),
+            rs: ("even_roots", "odd_roots", "even_positives", "odd_positives",
+                 "even_basis", "odd_basis", "weights"),
+        }
+        for obj, names in views.items():
+            # g and form derive their views on first use: one copy is
+            # pickled before that, one after
+            before = pickle.loads(pickle.dumps(obj))
+            want = [getattr(obj, name) for name in names]
+            after = pickle.loads(pickle.dumps(obj))
+            assert [getattr(before, name) for name in names] == want
+            assert [getattr(after, name) for name in names] == want

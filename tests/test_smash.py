@@ -1047,15 +1047,13 @@ class TestGammaOracleCatchesDefects:
 
     def test_odd_root_in_the_even_block(self, gl11, gl21, monkeypatch):
         # only the Jacobian's frame moves; check_frame keeps the true one
-        real_orders, real_jacobian = smash_mod._root_orders, smash_mod.jacobian_at
-
-        def moved(rs):
-            even_ids, odd_ids = real_orders(rs)
-            return even_ids + odd_ids[:1], odd_ids[1:]
+        real_jacobian = smash_mod.jacobian_at
 
         def jacobian(alg, a):
+            rs = alg.rs
             with monkeypatch.context() as m:
-                m.setattr(smash_mod, "_root_orders", moved)
+                m.setattr(rs, "even_basis", rs.even_basis + rs.odd_basis[:1])
+                m.setattr(rs, "odd_basis", rs.odd_basis[1:])
                 return real_jacobian(alg, a)
 
         monkeypatch.setattr(smash_mod, "jacobian_at", jacobian)
