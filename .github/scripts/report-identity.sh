@@ -17,6 +17,7 @@ RUNGS=(
   "gamma-check --algebra gl:3,3 --points 20 --seed 1"
   "gamma-check --algebra gl:1,3 --points 20 --seed 2"
   "gamma-check --algebra gl:4,1 --points 20 --seed 1"
+  "gamma-check --algebra gl:4,2 --points 20 --seed 1"
   "casimir --algebra gl:3,3 --kind casimir2 --check-central"
   "casimir --algebra gl:3,3 --kind gelfand --order 4 --check-central"
   "casimir --algebra gl:3,3 --kind gelfand --order 5 --check-central"

@@ -13,6 +13,22 @@ Everything else (Laurent arithmetic, canonical forms, derivations, square
 roots) is implemented in this package.  Terms are exchanged as dicts
 mapping exponent tuples (non-negative ints) to GaussianRational
 coefficients.
+
+When both gcd operands are homogeneous (one total degree per operand)
+sympy sees one variable fewer.  Setting the last variable to 1 is a ring
+map, and on a homogeneous support it merges no two terms, since the last
+exponent is the degree minus the others.  Every divisor of a homogeneous
+polynomial is homogeneous, and a homogeneous polynomial that the last
+variable does not divide is recovered from its image by homogenizing to
+the total degree of its highest-degree term; both directions are
+multiplicative.  So after the common power of the last variable is set
+aside, the gcd in n - 1 variables, homogenized and multiplied by that
+power, is the gcd up to a unit.  The gamma closed form is homogeneous:
+every gl(m|n) root e_i - e_j has exponent sum 0, so numerator and
+denominator live on a torus of rank t - 1.  On the command line only
+gamma-check and radial reach sympy, each with one gcd per run: the
+division inside radial.gamma_closed_form.  Every other gcd and division
+on a command path has a constant operand.
 """
 
 from __future__ import annotations
@@ -94,9 +110,18 @@ def _unit_normalized(terms: dict) -> dict:
     return {e: v * inv for e, v in terms.items()}
 
 
+def _is_homogeneous(terms: dict) -> bool:
+    """True when every exponent vector has one total degree."""
+    return len({sum(e) for e in terms}) == 1
+
+
 def poly_gcd(a: dict, b: dict, n: int) -> dict:
     """gcd of two polynomial term-dicts, up to a unit; 1 when either is a
-    nonzero constant."""
+    nonzero constant.
+
+    Two homogeneous operands in n > 1 variables are dehomogenized at the
+    last variable, and their gcd in n - 1 variables is homogenized back
+    (see the module docstring)."""
     if not a:
         return dict(b)
     if not b:
@@ -104,11 +129,22 @@ def poly_gcd(a: dict, b: dict, n: int) -> dict:
     if is_unit_dict(a) or is_unit_dict(b):
         return {(0,) * n: ONE}
     an, bn = _unit_normalized(a), _unit_normalized(b)
-    if _is_real(an) and _is_real(bn):
-        return _from_poly_real(_to_poly_real(an, n).gcd(_to_poly_real(bn, n)))
+    if n == 1 or not (_is_homogeneous(an) and _is_homogeneous(bn)):
+        return _sympy_gcd(an, bn, n)
+    low = min(e[-1] for terms in (an, bn) for e in terms)  # common power of the last variable
+    g = _sympy_gcd({e[:-1]: c for e, c in an.items()}, {e[:-1]: c for e, c in bn.items()}, n - 1)
+    top = max(sum(e) for e in g)
+    return {e + (top - sum(e) + low,): c for e, c in g.items()}
+
+
+def _sympy_gcd(a: dict, b: dict, n: int) -> dict:
+    """sympy's gcd of two unit-normalized term-dicts: over QQ when both are
+    real, otherwise over Z[i]."""
+    if _is_real(a) and _is_real(b):
+        return _from_poly_real(_to_poly_real(a, n).gcd(_to_poly_real(b, n)))
     # the gcd is up to a scalar, so clearing denominators changes nothing
-    a_zi = _to_poly(an, n).clear_denoms(convert=True)[1]
-    b_zi = _to_poly(bn, n).clear_denoms(convert=True)[1]
+    a_zi = _to_poly(a, n).clear_denoms(convert=True)[1]
+    b_zi = _to_poly(b, n).clear_denoms(convert=True)[1]
     return _from_poly(a_zi.gcd(b_zi))
 
 

@@ -2,7 +2,9 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from sympy import Poly
 
+from superalg import _polytools, cli, torus
 from superalg.errors import NotEigenfunction, SingularOddBlock
 from superalg.liealg import Root, RootSystem, build_gl
 from superalg.linalg import rref
@@ -100,6 +102,57 @@ class TestGammaClosedForm:
             except ZeroDivisionError:
                 continue
             assert v1 == v2
+
+
+def _record_sympy_gcds(monkeypatch, depth=None):
+    """Wrap Poly.gcd, as the benchmark's tracer does, and return the list to
+    which each call appends (its generator count, the poly_gcd depth)."""
+    calls, gcd = [], vars(Poly)["gcd"]
+
+    def counting(poly, *args, **kwargs):
+        calls.append((len(poly.gens), depth[0] if depth else None))
+        return gcd(poly, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "gcd", counting)
+    return calls
+
+
+class TestGammaGcd:
+    """N and D of the closed form are homogeneous, so their one sympy gcd
+    runs on the root lattice, in rank - 1 generators."""
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2)])
+    def test_the_gamma_gcd_drops_one_generator(self, m, n, monkeypatch):
+        _, _, rs = build_gl(m, n)
+        gamma_closed_form.cache_clear()
+        calls = _record_sympy_gcds(monkeypatch)
+        gamma_closed_form(rs)
+        assert calls == [(rs.rank - 1, None)]
+
+    def test_radial_pass_takes_one_sympy_gcd_inside_one_poly_gcd(self, monkeypatch, capsys):
+        # every binding of poly_gcd is wrapped, so a poly_gcd that called
+        # itself again would show as depth 2
+        depth, spans, poly_gcd = [0], [], _polytools.poly_gcd
+
+        def spanned(*args):
+            depth[0] += 1
+            spans.append(depth[0])
+            try:
+                return poly_gcd(*args)
+            finally:
+                depth[0] -= 1
+
+        for module in (_polytools, torus):
+            monkeypatch.setattr(module, "poly_gcd", spanned)
+        calls = _record_sympy_gcds(monkeypatch, depth)
+        gamma_closed_form.cache_clear()
+        for algebra in ("gl:2,1", "gl:1,2"):
+            argv = ["radial", "--algebra", algebra, "--points", "2", "--weights", "10",
+                    "--seed", "1"]
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert spans and set(spans) == {1}
+        assert calls == [(2, 1), (2, 1)]
 
 
 class TestGammaOracle:
