@@ -13,6 +13,7 @@ shopt -s inherit_errexit
 RUNGS=(
   "radial --algebra gl:2,2 --points 5 --weights 15 --seed 1"
   "radial --algebra gl:3,2 --points 3 --weights 21 --seed 1"
+  "radial --algebra gl:3,3 --points 2 --weights 28 --seed 1"
   "gamma-check --algebra gl:3,2 --points 20 --seed 1"
   "gamma-check --algebra gl:3,3 --points 20 --seed 1"
   "gamma-check --algebra gl:1,3 --points 20 --seed 2"

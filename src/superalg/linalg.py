@@ -6,7 +6,9 @@ ZERO + f and ONE / f are torus functions again.  Every entry must support
 +, -, *, / and an is_zero() predicate.
 
 Matrices are lists/tuples of rows; dimensions in this package stay below
-a few dozen.  det, inv and rref read one Gauss-Jordan reduction, _reduce:
+a few dozen.  mat_mul skips zero entries of both factors, since the frame
+and Gram matrices it multiplies are mostly zeros.  det, inv and rref read
+one Gauss-Jordan reduction, _reduce:
 det is its signed pivot product at full rank, inv the right half of the
 reduced [A | I], rref the reduced rows and their pivot columns.
 
@@ -190,16 +192,18 @@ def wrap_terms(cls, context: tuple, terms: dict):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
+    """The product of a (n x k) and b (k x m).  A zero entry a[i][s] is
+    skipped, and so is every zero entry of row s of b: each output entry
+    starts from ZERO and adds only products of two nonzero entries."""
+    m = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ZERO
-            for s in range(k):
-                acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
+    for a_row in a:
+        row = [ZERO] * m
+        for x, b_row in zip(a_row, b_rows):
+            if not x.is_zero():
+                for j, y in b_row:
+                    row[j] = row[j] + x * y
         out.append(row)
     return out
 

@@ -7,9 +7,17 @@ hyperbolic sine of a half root value, sinh(eps(Y)/2), is the Laurent binomial
 (q^eps - q^-eps)/2, which keeps the whole radial-part calculus inside exact
 arithmetic over Q(i).
 
-LaurentPoly is a linalg.SparseSum over exponent vectors.  Its product
-accumulates into one dict through linalg.add_term and wraps it once,
-unchecked; sums, negation and scaling come from the base.
+LaurentPoly is a linalg.SparseSum over exponent vectors; sums, negation
+and scaling come from the base.  Its product and its value at a point
+run over Gaussian integers, on the integer view of each operand
+(`_int_view`): its coefficients as Gaussian-integer numerators over the
+lcm of their denominators.  A product sums the integer products of its
+coefficient pairs per output exponent vector and builds each output
+coefficient once, through scalars.from_parts, which reduces it; eval
+reduces once, at the end.  The view is read off the terms alone, which
+never change, so the polynomial keeps it once it is derived, as a
+TorusElement keeps its hash and Ad table.  It is not pickled and takes
+no part in equality or the hash.
 
 TorusRational is the fraction field, kept in a canonical form so that
 equality is syntactic:
@@ -28,12 +36,14 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from ._polytools import poly_div_exact, poly_gcd
 from .errors import NotAScalarSquare, ZeroTorusCoordinate
 from .linalg import SparseSum, add_term
-from .scalars import GaussianRational, ONE, ZERO, as_scalar, gr, power
+from .scalars import GaussianRational, ONE, ZERO, as_scalar, from_parts, gr, power
 
 Exps = tuple
 
@@ -172,10 +182,11 @@ class LaurentPoly(SparseSum):
 
     terms maps exponent vectors (length-t int tuples, negatives allowed) to
     nonzero GaussianRational coefficients.  Polynomials in different
-    numbers of variables are never equal, zero included.
+    numbers of variables are never equal, zero included.  The slot _view
+    keeps the integer view of `_int_view` once it is derived, None before.
     """
 
-    __slots__ = ("nvars",)
+    __slots__ = ("nvars", "_view")
     _context = _same = ("nvars",)
     _mixed = "mixed variable counts"
 
@@ -183,6 +194,16 @@ class LaurentPoly(SparseSum):
         if nvars < 0:
             raise ValueError("negative variable count")
         super().__init__((nvars,), terms)
+        _set_view(self, None)
+
+    def _like(self, terms: dict) -> "LaurentPoly":
+        """A polynomial in as many variables holding terms, unchecked; its
+        integer view is derived on first use."""
+        p = _new(LaurentPoly)
+        _set_nvars(p, self.nvars)
+        _set_terms(p, terms)
+        _set_view(p, None)
+        return p
 
     def _key(self, exps):
         if len(exps) != self.nvars:
@@ -233,10 +254,26 @@ class LaurentPoly(SparseSum):
             return super().__mul__(other)
         if self.nvars != other.nvars:
             raise ValueError(self._mixed)
+        if not self.terms or not other.terms:
+            return self._like({})
+        d1, rows1 = _int_view(self)
+        d2, rows2 = _int_view(other)
+        acc = {}
+        acc_get = acc.get
+        for e1, a1, b1 in rows1:
+            for e2, a2, b2 in rows2:
+                e = tuple(map(add, e1, e2))
+                sums = acc_get(e)
+                if sums is None:
+                    acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                else:
+                    sums[0] += a1 * a2 - b1 * b2
+                    sums[1] += a1 * b2 + b1 * a2
+        den = d1 * d2
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e, (x, y) in acc.items():
+            if x or y:
+                out[e] = from_parts(x, y, den)
         return self._like(out)
 
     # -- structure -------------------------------------------------------
@@ -268,26 +305,33 @@ class LaurentPoly(SparseSum):
         return self._like(out)
 
     def eval(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        """Value at a point, summed term by term in the order of `terms`.
+        """Value at a point, summed over Gaussian integers and reduced once.
 
-        Each coordinate keeps a table {k: z**k} for this call, filled on
-        first use of an exponent, negative ones included; a term then
-        costs one product per nonzero exponent.  A zero coordinate raises
-        ZeroDivisionError at the first negative exponent it meets."""
+        A coordinate z = (a + b*i)/d whose exponents span [-L, H], L and
+        H >= 0, gets one denominator, d^H * n^L with n = a^2 + b^2, and a
+        table of the Gaussian-integer numerators of z^k over it for every
+        k in the span.  A term multiplies its numerator from `_int_view`
+        by one table entry per coordinate; the terms are summed as
+        integers and scalars.from_parts reduces the sum.  A zero
+        coordinate with L > 0 raises ZeroDivisionError."""
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        tables = [{} for _ in point]
-        total = ZERO
-        for e, c in self.terms.items():
-            val = c
-            for z, k, powers in zip(point, e, tables):
-                if k:
-                    zk = powers.get(k)
-                    if zk is None:
-                        zk = powers[k] = z ** k
-                    val = val * zk
-            total = total + val
-        return total
+        if not self.terms:
+            return ZERO
+        den, rows = _int_view(self)
+        tables = []
+        for z, col in zip(point, zip(*self.terms)):
+            table, zden = _power_table(z.parts(), max(-min(col), 0), max(max(col), 0))
+            tables.append(table)
+            den *= zden
+        x = y = 0
+        for e, a, b in rows:
+            for k, table in zip(e, tables):
+                pa, pb = table[k]
+                a, b = a * pa - b * pb, a * pb + b * pa
+            x += a
+            y += b
+        return from_parts(x, y, den)
 
     # -- display ------------------------------------------------------------
 
@@ -306,6 +350,58 @@ class LaurentPoly(SparseSum):
             )
             bits.append(f"({c}){'*' + mono if mono else ''}")
         return " + ".join(bits)
+
+
+_new = object.__new__
+_set_nvars = LaurentPoly.nvars.__set__
+_set_terms = SparseSum.terms.__set__
+_set_view = LaurentPoly._view.__set__
+
+
+def _int_view(p: LaurentPoly) -> tuple:
+    """(den, rows) for a nonzero p, derived once and kept on p: den is
+    the lcm of the coefficient denominators, and rows lists (e, a, b) per
+    term, in the order of terms, with terms[e] == (a + b*i)/den."""
+    view = p._view
+    if view is None:
+        terms = p.terms
+        den = next(iter(terms.values())).parts()[2]
+        rows = []
+        for e, c in terms.items():
+            a, b, d = c.parts()
+            if d != den:
+                if den % d:
+                    s = lcm(den, d) // den
+                    den *= s
+                    rows = [(f, x * s, y * s) for f, x, y in rows]
+                s = den // d
+                a *= s
+                b *= s
+            rows.append((e, a, b))
+        view = den, rows
+        _set_view(p, view)
+    return view
+
+
+def _power_table(z: tuple, neg: int, pos: int) -> tuple:
+    """(table, den) for z = (a + b*i)/d: table[k] is the Gaussian integer
+    (re, im) equal to z^k * den for -neg <= k <= pos, den = d^pos * n^neg
+    with n = a^2 + b^2; a list, so a negative k indexes from its end."""
+    a, b, d = z
+    n = a * a + b * b
+    if neg and not n:
+        raise ZeroDivisionError("negative power of a zero coordinate")
+    den = d**pos * n**neg
+    up = [(den, 0)]  # z^k * den = (a + b*i)^k * d^(pos-k) * n^neg
+    for _ in range(pos):
+        x, y = up[-1]
+        up.append(((a * x - b * y) // d, (a * y + b * x) // d))
+    down = []  # z^-k * den = (a - b*i)^k * d^(pos+k) * n^(neg-k)
+    x, y = den, 0
+    for _ in range(neg):
+        x, y = (a * x + b * y) * d // n, (a * y - b * x) * d // n
+        down.append((x, y))
+    return up + down[::-1], den
 
 
 def _poly_part(p: LaurentPoly) -> tuple:

@@ -174,6 +174,48 @@ def test_torus_function_matrices_match_the_oracles():
         assert len(rref(singular)[1]) == (0 if f.is_zero() and g.is_zero() else 1)
 
 
+def dense_mat_mul(a, b):
+    """The dense product mat_mul replaced: every output entry sums all k
+    products, zeros included."""
+    n, k = len(a), len(b)
+    m = len(b[0]) if k else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = ZERO
+            for s in range(k):
+                acc = acc + a[i][s] * b[s][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mat_mul_matches_the_dense_product(seed):
+    r = rng(seed)
+    for n in range(5):
+        for k in range(5):
+            for m in range(1, 5):
+                a, b = rand_sparse(r, n, k), rand_sparse(r, k, m)
+                if n:
+                    a[r.randrange(n)] = [ZERO] * k  # an all-zero row of a
+                if k:
+                    b[r.randrange(k)] = [ZERO] * m  # and one of b
+                assert mat_mul(a, b) == dense_mat_mul(a, b)
+    assert mat_mul([], []) == dense_mat_mul([], []) == []
+
+
+def test_mat_mul_on_torus_functions_compares_equal_to_the_dense_product():
+    r = rng(9)
+    for _ in range(3):
+        f, g, h = (rand_torus_rational(r, 2) for _ in range(3))
+        zero = TorusRational.zero(2)
+        a = [[f, ZERO, g], [zero, zero, zero], [h, f, ZERO]]
+        b = [[g, ZERO], [zero, h], [f, f * g]]
+        assert mat_mul(a, b) == dense_mat_mul(a, b)
+
+
 # The four element kinds on the SparseSum base, each as (a constructor from
 # a terms dict, three distinct keys).  Every key is given in its final form.
 _A = TorusElement((gr(2), gr(3)))

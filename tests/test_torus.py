@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from superalg.errors import NotAScalarSquare
+from superalg.linalg import add_term
 from superalg.sampling import rand_laurent, rand_scalar, rand_torus_rational, rng
 from superalg.scalars import gr, ONE, ZERO
 from superalg.torus import (
     LaurentPoly,
+    _int_view,
     _poly_sqrt,
     TorusRational,
     cosh_half,
@@ -170,17 +173,109 @@ class TestEvalPowerTables:
             p = rand_laurent(r, 3, max_terms=6, max_exp=3)
             point = [nonzero_scalar(r) for _ in range(3)]
             point[r.randrange(3)] = ZERO
-            at_zero = [e[i] for e in p.terms for i, z in enumerate(point) if z.is_zero()]
-            if any(k < 0 for k in at_zero):
-                raised += 1
-                with pytest.raises(ZeroDivisionError):
-                    p.eval(point)
-                with pytest.raises(ZeroDivisionError):
-                    eval_term_by_term(p, point)
-            else:
-                vanished += any(k > 0 for k in at_zero)  # a term is 0 there
-                assert p.eval(point) == eval_term_by_term(p, point)
+            for f in (p, p * p):  # p * p: a product's terms, read through its view
+                at_zero = [e[i] for e in f.terms for i, z in enumerate(point) if z.is_zero()]
+                if any(k < 0 for k in at_zero):
+                    raised += 1
+                    with pytest.raises(ZeroDivisionError):
+                        f.eval(point)
+                    with pytest.raises(ZeroDivisionError):
+                        eval_term_by_term(f, point)
+                else:
+                    vanished += any(k > 0 for k in at_zero)  # a term is 0 there
+                    assert f.eval(point) == eval_term_by_term(f, point)
         assert raised > 20 and vanished > 20
+
+
+def product_pair_by_pair(p, q):
+    """The pair-by-pair product LaurentPoly.__mul__ replaced: one
+    GaussianRational product per coefficient pair, through add_term."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return LaurentPoly(p.nvars, out)
+
+
+def poly_of(r, nvars, terms, max_exp, complex_prob):
+    """A Laurent polynomial with up to `terms` terms, exponents in
+    [-max_exp, max_exp] and rand_scalar coefficients, whose denominators
+    1..3 differ from term to term."""
+    out = {}
+    for _ in range(terms):
+        c = rand_scalar(r, complex_prob)
+        if not c.is_zero():
+            out[tuple(r.randint(-max_exp, max_exp) for _ in range(nvars))] = c
+    return LaurentPoly(nvars, out)
+
+
+def assert_reduced(p):
+    """Every coefficient is a nonzero, reduced triple."""
+    for c in p.terms.values():
+        a, b, d = c.parts()
+        assert d > 0 and gcd(a, b, d) == 1 and (a or b)
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("complex_prob", [0.0, 1.0, 0.5], ids=["real", "complex", "mixed"])
+    def test_matches_pair_by_pair(self, complex_prob):
+        r = rng(31)
+        cancelled = empty = 0
+        for nvars in (0, 1, 2, 3, 4):
+            for _ in range(40):
+                a = poly_of(r, nvars, r.randint(0, 6), 3, complex_prob)
+                b = poly_of(r, nvars, r.randint(0, 6), 3, complex_prob)
+                # (a + b)(a - b) = a^2 - b^2: the cross terms cancel exactly
+                p, q = a + b, a - b
+                point = [nonzero_scalar(r) for _ in range(nvars)]
+                for x, y in ((a, b), (a, a), (p, q)):
+                    xy = x * y
+                    assert xy == product_pair_by_pair(x, y)
+                    assert_reduced(xy)
+                    assert xy.eval(point) == eval_term_by_term(xy, point)
+                    empty += xy.terms == {}
+                sums = {tuple(map(sum, zip(e1, e2))) for e1 in p.terms for e2 in q.terms}
+                cancelled += bool(sums - set((p * q).terms))
+                assert p * q == a * a - b * b
+        assert cancelled > 50 and empty > 20
+
+    def test_product_of_a_product(self):
+        r = rng(8)
+        for _ in range(40):
+            p, q, s = (poly_of(r, 3, 6, 3, 0.5) for _ in range(3))
+            pq = p * q
+            if pq.is_zero():
+                continue
+            expected = product_pair_by_pair(product_pair_by_pair(p, q), s)
+            assert pq * s == expected
+            assert pq._view is not None  # s * pq reads the view pq * s kept
+            assert s * pq == expected
+            assert_reduced(pq * s)
+            point = [nonzero_scalar(r) for _ in range(3)]
+            assert pq.eval(point) == eval_term_by_term(pq, point)
+
+    def test_view_is_read_off_the_terms(self):
+        # the common denominator is the lcm of the coefficients' own, and
+        # a product's view is derived from its terms like any other
+        r = rng(9)
+        for _ in range(40):
+            p = poly_of(r, 2, 6, 3, 0.5) * poly_of(r, 2, 6, 3, 0.5)
+            if p.is_zero():
+                continue
+            assert p._view is None
+            den, rows = _int_view(p)
+            assert den == lcm(*(c.parts()[2] for c in p.terms.values()))
+            assert [e for e, _, _ in rows] == list(p.terms)
+            assert all(p.terms[e] == gr(Fraction(a, den), Fraction(b, den)) for e, a, b in rows)
+            assert p._view == (den, rows)
+
+    def test_huge_exponents_multiply_exactly(self):
+        big = 1 << 62
+        far = LaurentPoly(2, {(1, -big): gr(3), (big, 0): gr(0, 1)})
+        near = LaurentPoly.monomial(2, (-1, big), gr(2))
+        for x, y in ((far, far), (far, near), (near * far, far)):
+            assert x * y == product_pair_by_pair(x, y)
+        assert (near * far).terms == {(0, 0): gr(6), (big - 1, big): gr(0, 2)}
 
 
 class TestSqrtScalarFree:
@@ -247,9 +342,15 @@ class TestPickle:
 
         p = LaurentPoly(2, {(1, -1): gr(Fraction(1, 2)), (0, 2): gr(0, 3)})
         f = sinh_half(2, (1, -1)) / (cosh_half(2, (1, 1)) * 3)
-        for x in (p, f, TorusRational(p)):
+        pp = p * p
+        pp * p  # derives and keeps the integer view of pp
+        assert pp._view is not None
+        for x in (p, pp, f, TorusRational(p)):
             y = pickle.loads(pickle.dumps(x))
             assert y == x and hash(y) == hash(x)
+        # the view is not pickled: pp pickles as its terms alone
+        assert pickle.dumps(pp) == pickle.dumps(LaurentPoly(2, dict(pp.terms)))
+        assert pickle.loads(pickle.dumps(pp))._view is None
         # canonicalizing the unpickled pair again changes nothing
         y = pickle.loads(pickle.dumps(f))
         again = TorusRational(y.num, y.den)
