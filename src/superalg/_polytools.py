@@ -6,7 +6,8 @@ Both arise in the canonical form of TorusRational (torus.py).  A gcd with a
 nonzero constant operand is the unit 1, and a division by a constant is a
 coefficient scaling, so both are answered here without sympy.  A real
 gcd runs over QQ, any other over Z[i] (ZZ_I) with denominators cleared:
-sympy's gcd over QQ_I crawls in three or more variables.
+sympy's gcd over QQ_I crawls in three or more variables.  Division has one
+sympy path, over QQ_I, and raises ValueError on a remainder.
 `poly_factors` (factorization into irreducibles) has no caller in the
 package; it stays because the benchmark's tracer wraps it by name.
 Everything else (Laurent arithmetic, canonical forms, derivations, square
@@ -26,9 +27,11 @@ aside, the gcd in n - 1 variables, homogenized and multiplied by that
 power, is the gcd up to a unit.  The gamma closed form is homogeneous:
 every gl(m|n) root e_i - e_j has exponent sum 0, so numerator and
 denominator live on a torus of rank t - 1.  On the command line only
-gamma-check and radial reach sympy, each with one gcd per run: the
-division inside radial.gamma_closed_form.  Every other gcd and division
-on a command path has a constant operand.
+gamma-check and radial reach sympy: counted in-process on gamma-check
+gl(2|2) and radial gl(2|1) and gl(3|2), each run makes one sympy gcd, over
+QQ, inside radial.gamma_closed_form, and no sympy division.  N and D are
+coprime, so that gcd is a unit; every other gcd and division on a command
+path has a constant operand.
 """
 
 from __future__ import annotations
@@ -158,11 +161,6 @@ def poly_div_exact(a: dict, b: dict, n: int) -> dict:
             return dict(a)
         inv = c.inverse()
         return {e: v * inv for e, v in a.items()}
-    if _is_real(a) and _is_real(b):
-        q, r = _to_poly_real(a, n).div(_to_poly_real(b, n))
-        if not r.is_zero:
-            raise ValueError("polynomial division is not exact")
-        return _from_poly_real(q)
     q, r = _to_poly(a, n).div(_to_poly(b, n))
     if not r.is_zero:
         raise ValueError("polynomial division is not exact")

@@ -21,11 +21,12 @@ certified as the cleared-denominator Laurent identity
     sum_i c_i (N'' D^2 - 2 N' D' D - N D'' D + 2 N D'^2) = c N D^2,
 
 with no gcd.  On the radial and gamma-check paths sympy is reached only
-while gamma_closed_form builds gamma as a canonical TorusRational: a gcd
-of two non-constant polynomials and the division by it (_polytools).
-TorusLaplacian.apply and apply_radial_C2 work in TorusRational and reach
-it as well.  Once L(j) = c j holds, the radial part of the order-two
-Casimir acts as
+while gamma_closed_form builds gamma as a canonical TorusRational: one gcd
+of the numerator and denominator polynomials (_polytools).  They are
+coprime, so the gcd is a unit and dividing by it is a scaling that never
+reaches sympy.  TorusLaplacian.apply and apply_radial_C2 work in
+TorusRational and reach it as well.  Once L(j) = c j holds, the radial
+part of the order-two Casimir acts as
 
     D f = j^-1 L(j f) - c f
 

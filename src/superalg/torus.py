@@ -27,6 +27,10 @@ equality is syntactic:
   variable (all monomial content is carried by the numerator),
 * the lexicographically least denominator term has coefficient 1.
 
+`_make_reduced` is the one home of that form: only it moves monomial
+content into the numerator and scales the denominator.  Every gcd and the
+divisions by it go through `_cancel`; a Laurent polynomial over 1 takes none.
+
 TorusElement is a point of the torus.  Ad of the point scales a vector of
 weight w by a.ad(w) = prod_i z_i^(2 w_i), which the point keeps by weight,
 so every algebra that meets the point shares one cache.
@@ -426,15 +430,21 @@ class TorusRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
+        n = num.nvars
         if den is None:
-            den = LaurentPoly.one(num.nvars)
-        if num.nvars != den.nvars:
+            den = LaurentPoly.one(n)
+        elif den.nvars != n:
             raise ValueError("mixed variable counts")
-        if den.is_zero():
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        n, d = _canonicalize(num, den)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        elif not num.is_zero():
+            sn, a = _poly_part(num)
+            sd, b = _poly_part(den)
+            a, b, _ = _cancel(a, b, n)
+            num, den = LaurentPoly(n, a).shift(sn), LaurentPoly(n, b).shift(sd)
+        r = _make_reduced(num, den)
+        _set_num(self, r.num)
+        _set_den(self, r.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusRational is immutable")
@@ -451,19 +461,19 @@ class TorusRational:
 
     @classmethod
     def const(cls, nvars: int, c) -> "TorusRational":
-        return cls(LaurentPoly.const(nvars, c))
+        return _make_reduced(LaurentPoly.const(nvars, c), LaurentPoly.one(nvars))
 
     @classmethod
     def zero(cls, nvars: int) -> "TorusRational":
-        return cls(LaurentPoly.zero(nvars))
+        return _make_reduced(LaurentPoly.zero(nvars), LaurentPoly.one(nvars))
 
     @classmethod
     def one(cls, nvars: int) -> "TorusRational":
-        return cls(LaurentPoly.one(nvars))
+        return _make_reduced(LaurentPoly.one(nvars), LaurentPoly.one(nvars))
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=ONE) -> "TorusRational":
-        return cls(LaurentPoly.monomial(nvars, exps, coeff))
+        return _make_reduced(LaurentPoly.monomial(nvars, exps, coeff), LaurentPoly.one(nvars))
 
     # -- predicates ---------------------------------------------------------
 
@@ -504,19 +514,14 @@ class TorusRational:
             return self
         # Henrici: cancel gcd(B, D) up front so the closing gcd stays small.
         n = self.nvars
-        _, b_poly = _poly_part(self.den)
-        _, d_poly = _poly_part(o.den)
-        g = poly_gcd(b_poly, d_poly, n)
-        b1 = poly_div_exact(b_poly, g, n)
-        d1 = poly_div_exact(d_poly, g, n)
-        num = self.num * LaurentPoly(n, d1) + o.num * LaurentPoly(n, b1)
+        b, d, g = _cancel(self.den.terms, o.den.terms, n)
+        num = self.num * LaurentPoly(n, d) + o.num * LaurentPoly(n, b)
         if num.is_zero():
             return TorusRational.zero(n)
         shift, npoly = _poly_part(num)
-        g2 = poly_gcd(npoly, g, n)
-        new_num = LaurentPoly(n, poly_div_exact(npoly, g2, n)).shift(shift)
-        rest = poly_div_exact(g, g2, n)
-        new_den = LaurentPoly(n, rest) * LaurentPoly(n, b1) * LaurentPoly(n, d1)
+        npoly, rest, _ = _cancel(npoly, g, n)
+        new_num = LaurentPoly(n, npoly).shift(shift)
+        new_den = LaurentPoly(n, rest) * LaurentPoly(n, b) * LaurentPoly(n, d)
         return _make_reduced(new_num, new_den)
 
     __radd__ = __add__
@@ -542,15 +547,9 @@ class TorusRational:
         n = self.nvars
         sa, a = _poly_part(self.num)
         sc, c = _poly_part(o.num)
-        _, b = _poly_part(self.den)
-        _, d = _poly_part(o.den)
         # cross-cancel; both inputs are reduced, so the result is reduced
-        g1 = poly_gcd(a, d, n)
-        g2 = poly_gcd(c, b, n)
-        a = poly_div_exact(a, g1, n)
-        d = poly_div_exact(d, g1, n)
-        c = poly_div_exact(c, g2, n)
-        b = poly_div_exact(b, g2, n)
+        a, d, _ = _cancel(a, o.den.terms, n)
+        c, b, _ = _cancel(c, self.den.terms, n)
         num = (LaurentPoly(n, a) * LaurentPoly(n, c)).shift(_add_exps(sa, sc))
         den = LaurentPoly(n, b) * LaurentPoly(n, d)
         return _make_reduced(num, den)
@@ -600,14 +599,10 @@ class TorusRational:
             return TorusRational.zero(n)
         # cancel against den^2 one denominator copy at a time
         shift, npoly = _poly_part(raw)
-        _, b = _poly_part(self.den)
-        den_parts = []
-        for part in (b, b):
-            g = poly_gcd(npoly, part, n)
-            npoly = poly_div_exact(npoly, g, n)
-            den_parts.append(poly_div_exact(part, g, n))
+        npoly, b1, _ = _cancel(npoly, self.den.terms, n)
+        npoly, b2, _ = _cancel(npoly, self.den.terms, n)
         num = LaurentPoly(n, npoly).shift(shift)
-        den = LaurentPoly(n, den_parts[0]) * LaurentPoly(n, den_parts[1])
+        den = LaurentPoly(n, b1) * LaurentPoly(n, b2)
         return _make_reduced(num, den)
 
     def eval(self, point: Sequence[GaussianRational]) -> GaussianRational:
@@ -624,47 +619,40 @@ class TorusRational:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def _scale_normalize(num: LaurentPoly, den: LaurentPoly) -> tuple:
-    """Make the lexicographically least denominator coefficient equal 1."""
-    c = den.terms[den.lex_least()]
-    if c.is_one():
-        return num, den
-    inv = c.inverse()
-    return num * inv, den * inv
+_set_num = TorusRational.num.__set__
+_set_den = TorusRational.den.__set__
 
 
 def _make_reduced(num: LaurentPoly, den: LaurentPoly) -> TorusRational:
-    """Wrap an already gcd-reduced pair, fixing monomial content and scale.
+    """num / den in canonical form, for a pair whose polynomial parts are
+    coprime; the one place that form is made.
 
-    Bypasses the gcd in __init__ via direct slot assignment; callers
-    guarantee coprimality of the polynomial parts.
+    The monomial content of den moves into the numerator, and both are
+    scaled so that the lexicographically least denominator coefficient is
+    1.  No gcd is taken: callers guarantee coprimality.
     """
-    obj = object.__new__(TorusRational)
+    obj = _new(TorusRational)
     if num.is_zero():
-        object.__setattr__(obj, "num", LaurentPoly.zero(num.nvars))
-        object.__setattr__(obj, "den", LaurentPoly.one(num.nvars))
-        return obj
-    sd, dpoly = _poly_part(den)
-    n2 = num.shift(_neg_exps(sd))
-    num2, den2 = _scale_normalize(n2, LaurentPoly(num.nvars, dpoly))
-    object.__setattr__(obj, "num", num2)
-    object.__setattr__(obj, "den", den2)
+        num, den = LaurentPoly.zero(num.nvars), LaurentPoly.one(num.nvars)
+    else:
+        sd = den.min_exps()
+        if any(sd):
+            back = _neg_exps(sd)
+            num, den = num.shift(back), den.shift(back)
+        c = den.terms[den.lex_least()]
+        if not c.is_one():
+            inv = c.inverse()
+            num, den = num * inv, den * inv
+    _set_num(obj, num)
+    _set_den(obj, den)
     return obj
 
 
-def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple:
-    if num.is_zero():
-        return LaurentPoly.zero(num.nvars), LaurentPoly.one(num.nvars)
-    n = num.nvars
-    sn, npoly = _poly_part(num)
-    sd, dpoly = _poly_part(den)
-    g = poly_gcd(npoly, dpoly, n)
-    npoly = poly_div_exact(npoly, g, n)
-    dpoly = poly_div_exact(dpoly, g, n)
-    delta = _add_exps(sn, _neg_exps(sd))
-    num2 = LaurentPoly(n, npoly).shift(delta)
-    num2, den2 = _scale_normalize(num2, LaurentPoly(n, dpoly))
-    return num2, den2
+def _cancel(a: dict, b: dict, n: int) -> tuple:
+    """(a / g, b / g, g) for g = gcd(a, b), polynomial term-dicts in n
+    variables."""
+    g = poly_gcd(a, b, n)
+    return poly_div_exact(a, g, n), poly_div_exact(b, g, n), g
 
 
 def _grlex_desc(e: Exps) -> tuple:
@@ -737,18 +725,22 @@ def sqrt_scalar_free(f: TorusRational) -> tuple:
     shift, npoly = _poly_part(f.num)
     if any(s % 2 for s in shift):
         raise NotAScalarSquare("odd monomial content")
-    _, dpoly = _poly_part(f.den)
     sn, a = _poly_sqrt(npoly)
-    sd, b = _poly_sqrt(dpoly)
+    sd, b = _poly_sqrt(f.den.terms)
     half_shift = tuple(s // 2 for s in shift)
     g = _make_reduced(LaurentPoly(n, sn).shift(half_shift), LaurentPoly(n, sd))
     return g, b / a
 
 
+def _half_binomial(nvars: int, weight, sign: int) -> LaurentPoly:
+    """The Laurent binomial (q^w + sign * q^-w) / 2, sign 1 or -1."""
+    w = tuple(weight)
+    return LaurentPoly(nvars, {w: gr(Fraction(1, 2)), _neg_exps(w): gr(Fraction(sign, 2))})
+
+
 def sinh_binomial(nvars: int, weight) -> LaurentPoly:
     """The Laurent binomial (q^w - q^-w) / 2."""
-    w = tuple(weight)
-    return LaurentPoly(nvars, {w: gr(Fraction(1, 2)), _neg_exps(w): gr(Fraction(-1, 2))})
+    return _half_binomial(nvars, weight, -1)
 
 
 def sinh_half(nvars: int, weight) -> TorusRational:
@@ -758,6 +750,4 @@ def sinh_half(nvars: int, weight) -> TorusRational:
 
 def cosh_half(nvars: int, weight) -> TorusRational:
     """cosh of half the weight value: (q^w + q^-w) / 2."""
-    w = tuple(weight)
-    p = LaurentPoly(nvars, {w: gr(Fraction(1, 2)), _neg_exps(w): gr(Fraction(1, 2))})
-    return TorusRational(p)
+    return TorusRational(_half_binomial(nvars, weight, 1))

@@ -1,16 +1,19 @@
 """The sympy bridge answers a gcd with a constant operand, and a division by
-a constant, without sympy; both must equal what sympy computes.  A gcd of
-two homogeneous operands reaches sympy in one variable fewer, and must
-still equal sympy's gcd in all of them."""
+a constant, without sympy; both must equal what sympy computes.  A division
+by a non-constant polynomial recovers an exact quotient and refuses a
+remainder.  A gcd of two homogeneous operands reaches sympy in one variable
+fewer, and must still equal sympy's gcd in all of them."""
 
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Poly
 
 from superalg import _polytools as pt
 from superalg.scalars import GaussianRational
+from superalg.torus import LaurentPoly
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 N = 3
@@ -44,6 +47,23 @@ def test_gcd_with_a_constant_is_sympys(a, c):
 @given(term_dict, constant)
 def test_division_by_a_constant_is_sympys(a, c):
     assert pt.poly_div_exact(a, c, N) == sympy_div(a, c)
+
+
+real_dict = st.dictionaries(exps, real_scalar, min_size=1, max_size=6)
+non_constant = st.one_of(real_dict, term_dict).filter(lambda g: not pt.is_unit_dict(g))
+
+
+@PROPS
+@given(term_dict, non_constant)
+def test_exact_division_recovers_the_factor_and_refuses_a_remainder(f, g):
+    a = mul(f, g)
+    off = pt._from_poly(pt._to_poly(a, N) + 1)  # the remainder 1 modulo g
+    # the dividends are compared before any division, so a wrong one fails
+    # here and not inside sympy
+    assert a == (LaurentPoly(N, f) * LaurentPoly(N, g)).terms and off != a
+    assert pt.poly_div_exact(a, g, N) == f
+    with pytest.raises(ValueError, match="not exact"):
+        pt.poly_div_exact(off, g, N)
 
 
 def homogeneous(coefficient):

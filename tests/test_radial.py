@@ -154,6 +154,26 @@ class TestGammaGcd:
         assert spans and set(spans) == {1}
         assert calls == [(2, 1), (2, 1)]
 
+    @pytest.mark.parametrize("argv, rank", [
+        (["gamma-check", "--algebra", "gl:2,2", "--points", "4", "--seed", "1"], 4),
+        (["radial", "--algebra", "gl:3,2", "--points", "2", "--weights", "21", "--seed", "1"], 5),
+    ], ids=["gamma-check", "radial"])
+    def test_a_run_makes_one_sympy_gcd_and_no_sympy_division(self, argv, rank, monkeypatch,
+                                                              capsys):
+        # the gcd of the coprime N and D is a unit, so no division by it
+        # reaches sympy
+        seen = {"gcd": [], "div": []}
+        for name, calls in seen.items():
+            def counting(poly, *args, _method=vars(Poly)[name], _calls=calls, **kwargs):
+                _calls.append((len(poly.gens), str(poly.domain)))
+                return _method(poly, *args, **kwargs)
+
+            monkeypatch.setattr(Poly, name, counting)
+        gamma_closed_form.cache_clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert seen == {"gcd": [(rank - 1, "QQ")], "div": []}
+
 
 class TestGammaOracle:
     def test_gl11_points(self, gl11):

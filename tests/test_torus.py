@@ -103,6 +103,78 @@ class TestCanonicalForm:
         assert a.num == b.num and a.den == b.den
 
 
+def one_gcd(num, den=None):
+    """The textbook canonical form of num / den: the checked constructor,
+    which takes one gcd of the raw pair, den = 1 included."""
+    return TorusRational(num, LaurentPoly.one(num.nvars) if den is None else den)
+
+
+def assert_syntactically(f, want):
+    assert (f.num, f.den) == (want.num, want.den)
+
+
+def in_last_variable(p, nvars):
+    """A one-variable Laurent polynomial as one in the last of nvars."""
+    return LaurentPoly(nvars, {(0,) * (nvars - 1) + e: c for e, c in p.terms.items()})
+
+
+class TestOneGcdOracle:
+    """Every operation gives, term for term, the canonical form that one gcd
+    of its raw textbook fraction gives.  The operands include pairs whose
+    denominators share a factor, so Henrici's closing cancel has work, and
+    k + m / v with m and v free of the first variable, so the second den
+    copy of derive along it cancels."""
+
+    # in three variables the one gcd of three-term numerators took up to a
+    # minute, so they get two terms there
+    @pytest.mark.parametrize("nvars, terms, seed", [(2, 3, 41), (3, 2, 42)])
+    def test_operations_match_the_one_gcd_form(self, nvars, terms, seed):
+        r = rng(seed)
+        real = set()
+        for _ in range(8):
+            f, g = (rand_torus_rational(r, nvars, terms) for _ in "fg")
+            m, v = (in_last_variable(rand_laurent(r, 1, nonzero=True), nvars) for _ in "mv")
+            kmv = TorusRational(rand_laurent(r, nvars, terms)) + TorusRational(m, v)
+            for x in (f, g, kmv):
+                real.add(all(c.is_real() for c in (*x.num.terms.values(), *x.den.terms.values())))
+            for x, y in ((f, g), (kmv, f), (f, g - f)):
+                a, b, c, d = x.num, x.den, y.num, y.den
+                assert_syntactically(x + y, one_gcd(a * d + c * b, b * d))
+                assert_syntactically(x - y, one_gcd(a * d - c * b, b * d))
+                if x is f and y is not g:
+                    continue  # the one gcd of f * (g - f) can take seconds
+                assert_syntactically(x * y, one_gcd(a * c, b * d))
+                if not y.is_zero():
+                    assert_syntactically(x / y, one_gcd(a * d, b * c))
+            for x in (f, kmv):
+                u, w = x.num, x.den
+                for i in range(nvars):
+                    raw = u.derive_half(i) * w - u * w.derive_half(i)
+                    assert_syntactically(x.derive(i), one_gcd(raw, w * w))
+                u2, w2 = u * u, w * w
+                assert_syntactically(x ** 2, one_gcd(u2, w2))
+                assert_syntactically(x ** 0, one_gcd(LaurentPoly.one(nvars)))
+                if not x.is_zero():
+                    assert_syntactically(x.inverse(), one_gcd(w, u))
+                    assert_syntactically(x ** -2, one_gcd(w2, u2))
+        assert real == {True, False}  # real and Gaussian coefficients both occurred
+
+    def test_constructions_over_one_match_the_one_gcd_form(self):
+        r = rng(43)
+        for nvars in (2, 3):
+            for _ in range(20):
+                p = rand_laurent(r, nvars, max_terms=4)
+                c = rand_scalar(r)
+                e = tuple(r.randint(-3, 3) for _ in range(nvars))
+                assert_syntactically(TorusRational(p), one_gcd(p))
+                assert_syntactically(TorusRational.const(nvars, c),
+                                     one_gcd(LaurentPoly.const(nvars, c)))
+                assert_syntactically(TorusRational.monomial(nvars, e, c),
+                                     one_gcd(LaurentPoly.monomial(nvars, e, c)))
+            assert_syntactically(TorusRational.zero(nvars), one_gcd(LaurentPoly.zero(nvars)))
+            assert_syntactically(TorusRational.one(nvars), one_gcd(LaurentPoly.one(nvars)))
+
+
 class TestArithmetic:
     def test_field_ops_random(self):
         r = rng(99)
