@@ -5,7 +5,9 @@ A value is one reduced integer triple `(a, b, d)`, meaning `(a + b*i)/d`,
 with `d > 0` and `gcd(a, b, d) == 1`; zero is `(0, 0, 1)`.  The triple is
 unique for each value, so equality compares triples.  Every result is built
 by `_make`, which reduces it with one `math.gcd(a, b, d)`, skipped when
-`d == 1`, so a product costs four integer products and one gcd.
+`d == 1`, so a product costs four integer products and one gcd.  A unit
+factor costs nothing: a product with 1 returns the other operand, as a
+GaussianRational, before any integer product.
 
 The components are still available as reduced `Fraction`s through the
 read-only properties `.re` and `.im`; hot code reads the triple with
@@ -111,8 +113,14 @@ class GaussianRational:
         o = other._t if other.__class__ is GaussianRational else _triple(other)
         if o is None:
             return NotImplemented
+        t = self._t
+        # a unit factor costs no arithmetic; the result is always a value
+        if t == (1, 0, 1):
+            return other if other.__class__ is GaussianRational else _raw(*o)
+        if o == (1, 0, 1):
+            return self
         a2, b2, d2 = o
-        a1, b1, d1 = self._t
+        a1, b1, d1 = t
         return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
@@ -272,15 +280,24 @@ def as_scalar(x) -> GaussianRational | None:
 
 
 def power(x, n: int, one):
-    """x**n by square-and-multiply, starting from the unit `one` of x's
-    ring; a negative n raises x.inverse() instead."""
+    """x**n by right-to-left square-and-multiply; a negative n raises
+    x.inverse() instead.  The result starts at the lowest set bit of |n|
+    and squaring stops at the highest, so x**n costs
+    `bit_length(|n|) - 1` squarings and `popcount(|n|) - 1` other products;
+    `one`, the unit of x's ring, is returned as it is for n == 0 only."""
+    if not n:
+        return one
     if n < 0:
         x, n = x.inverse(), -n
-    out = one
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    out = x
+    n >>= 1
     while n:
+        x = x * x
         if n & 1:
             out = out * x
-        x = x * x
         n >>= 1
     return out
 

@@ -29,7 +29,8 @@ equality is syntactic:
 
 `_make_reduced` is the one home of that form: only it moves monomial
 content into the numerator and scales the denominator.  Every gcd and the
-divisions by it go through `_cancel`; a Laurent polynomial over 1 takes none.
+divisions by it go through `_cancel`; a Laurent polynomial over 1 takes none,
+nor does the square of a canonical pair, which is coprime too.
 
 TorusElement is a point of the torus.  Ad of the point scales a vector of
 weight w by a.ad(w) = prod_i z_i^(2 w_i), which the point keeps by weight,
@@ -544,6 +545,9 @@ class TorusRational:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return TorusRational.zero(self.nvars)
+        if o is self:
+            # a canonical pair is coprime, and so is its square
+            return _make_reduced(self.num * self.num, self.den * self.den)
         n = self.nvars
         sa, a = _poly_part(self.num)
         sc, c = _poly_part(o.num)
@@ -574,6 +578,8 @@ class TorusRational:
         return o * self.inverse()
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         return power(self, n, TorusRational.one(self.nvars))
 
     def __eq__(self, other):

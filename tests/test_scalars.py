@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superalg.scalars import GaussianRational, I, ONE, ZERO, from_parts, gr
+from superalg.sampling import rand_scalar, rng
+from superalg.scalars import GaussianRational, I, ONE, ZERO, from_parts, gr, power
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -198,3 +199,59 @@ def test_from_parts_reduces():
     assert from_parts(0, 0, 9).parts() == (0, 0, 1)
     with pytest.raises(ValueError):
         from_parts(1, 1, 0)
+
+
+# -- unit factors and the cost of power ---------------------------------------
+
+
+def test_a_unit_factor_returns_the_other_operand_as_a_value():
+    r = rng(33)
+    xs = [ZERO, ONE, I, -I, gr(-1), from_parts(7, 0, 7)]
+    xs += [rand_scalar(r, complex_prob=0.7) for _ in range(40)]
+    assert any(not x.is_real() for x in xs)
+    seven = from_parts(7, 0, 7)
+    assert seven.parts() == (1, 0, 1)
+    for x in xs:
+        for unit in (1, Fraction(1), True, ONE, seven):
+            for got in (x * unit, unit * x):
+                assert type(got) is GaussianRational
+                assert_reduced(got)
+                assert got == x and got.parts() == x.parts()
+    for unit in (1, Fraction(1), True):
+        for got in (ONE * unit, unit * ONE):
+            assert type(got) is GaussianRational and got.parts() == (1, 0, 1)
+
+
+class CountingElement:
+    """x**e in the free monoid on x, logging each product as a squaring
+    (both factors the same object) or another product, and each inverse."""
+
+    def __init__(self, e, log):
+        self.e, self.log = e, log
+
+    def __mul__(self, other):
+        self.log.append("square" if other is self else "product")
+        return CountingElement(self.e + other.e, self.log)
+
+    def inverse(self):
+        self.log.append("inverse")
+        return CountingElement(-self.e, self.log)
+
+
+@pytest.mark.parametrize("n", range(-40, 41))
+def test_power_stops_squaring_at_the_last_bit(n):
+    log = []
+    one = CountingElement(0, log)
+    got = power(CountingElement(1, log), n, one)
+    assert got.e == n
+    assert (got is one) == (n == 0)
+    k = abs(n)
+    assert log.count("square") == max(k.bit_length() - 1, 0)
+    assert log.count("product") == max(bin(k).count("1") - 1, 0)
+    assert log.count("inverse") == (n < 0)
+    # and on Q(i) values, power equals repeated multiplication
+    for x in (gr(Fraction(2, 3), -1), gr(-3), I):
+        want = ONE
+        for _ in range(k):
+            want = want * (x if n > 0 else x.inverse())
+        assert power(x, n, ONE) == want

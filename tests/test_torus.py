@@ -175,6 +175,44 @@ class TestOneGcdOracle:
             assert_syntactically(TorusRational.one(nvars), one_gcd(LaurentPoly.one(nvars)))
 
 
+class TestSquareTakesNoGcd:
+    """A canonical pair is coprime, and so is its square: f * f and f ** 2
+    build f's square with no sympy gcd, and f ** 3, which is f * f**2,
+    equals f * f * f."""
+
+    def test_square_matches_the_one_gcd_form(self, monkeypatch):
+        from sympy import Poly
+
+        calls, sympy_gcd = [], vars(Poly)["gcd"]
+
+        def counting(poly, *args, **kwargs):
+            calls.append(poly)
+            return sympy_gcd(poly, *args, **kwargs)
+
+        r = rng(44)
+        fs = [rand_torus_rational(r, 2) for _ in range(6)]
+        fs += [rand_torus_rational(r, 3, max_terms=2) for _ in range(3)]
+        fs.append(TorusRational.zero(2))
+        assert any(not f.den.is_constant() for f in fs)
+        for f in fs:
+            monkeypatch.setattr(Poly, "gcd", counting)
+            calls.clear()
+            square, power2 = f * f, f ** 2
+            assert calls == []
+            monkeypatch.undo()
+            want = TorusRational(f.num * f.num, f.den * f.den)
+            assert_syntactically(square, want)
+            assert_syntactically(power2, want)
+            assert_syntactically(f ** 3, f * f * f)
+
+    @pytest.mark.parametrize("n", [0.5, 2.0, Fraction(1, 2), Fraction(-3, 2)])
+    def test_power_of_a_non_integer_is_a_type_error(self, n):
+        s = sinh_half(2, (1, -1))
+        assert s.__pow__(n) is NotImplemented
+        with pytest.raises(TypeError):
+            s ** n
+
+
 class TestArithmetic:
     def test_field_ops_random(self):
         r = rng(99)
