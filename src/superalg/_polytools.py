@@ -1,13 +1,14 @@
 """Thin bridge to sympy's exact polynomial engine over Q(i).
 
-sympy is reached for two services only: the multivariate gcd of two
-non-constant polynomials, and exact division by a non-constant polynomial.
-Both arise in the canonical form of TorusRational (torus.py).  A gcd with a
-nonzero constant operand is the unit 1, and a division by a constant is a
+sympy is reached for two services only: the gcd of two non-constant
+polynomials, and exact division by a non-constant polynomial.  Both arise
+in the canonical form of TorusRational (torus.py).  A gcd with a nonzero
+constant operand is the unit 1, and a division by a constant is a
 coefficient scaling, so both are answered here without sympy.  A real
-gcd runs over QQ, any other over Z[i] (ZZ_I) with denominators cleared:
-sympy's gcd over QQ_I crawls in three or more variables.  Division has one
-sympy path, over QQ_I, and raises ValueError on a remainder.
+multivariate gcd runs over QQ, any other over Z[i] (ZZ_I) with
+denominators cleared: sympy's gcd over QQ_I crawls in three or more
+variables.  Division has one sympy path, over QQ_I, and raises ValueError
+on a remainder.
 `poly_factors` (factorization into irreducibles) has no caller in the
 package; it stays because the benchmark's tracer wraps it by name.
 Everything else (Laurent arithmetic, canonical forms, derivations, square
@@ -15,26 +16,36 @@ roots) is implemented in this package.  Terms are exchanged as dicts
 mapping exponent tuples (non-negative ints) to GaussianRational
 coefficients.
 
-When both gcd operands are homogeneous (one total degree per operand)
-sympy sees one variable fewer.  Setting the last variable to 1 is a ring
-map, and on a homogeneous support it merges no two terms, since the last
-exponent is the degree minus the others.  Every divisor of a homogeneous
-polynomial is homogeneous, and a homogeneous polynomial that the last
-variable does not divide is recovered from its image by homogenizing to
-the total degree of its highest-degree term; both directions are
-multiplicative.  So after the common power of the last variable is set
-aside, the gcd in n - 1 variables, homogenized and multiplied by that
-power, is the gcd up to a unit.  The gamma closed form is homogeneous:
-every gl(m|n) root e_i - e_j has exponent sum 0, so numerator and
-denominator live on a torus of rank t - 1.  On the command line only
-gamma-check and radial reach sympy: counted in-process on gamma-check
-gl(2|2) and radial gl(2|1) and gl(3|2), each run makes one sympy gcd, over
-QQ, inside radial.gamma_closed_form, and no sympy division.  N and D are
-coprime, so that gcd is a unit; every other gcd and division on a command
-path has a constant operand.
+Two coprime gcd operands reach sympy in one variable.  Let g_k be the gcd
+of every exponent of x_k in both operands, and deflate each by x_k^g_k ->
+x_k: gcd commutes with deflation (sympy's own gcd deflates first, by
+`dmp_multi_deflate`).  Then map x_k to c_k y + d_k, with the fixed integer
+table LINE, a ring map phi to one variable y.  Lemma: if deg phi(a) equals
+the total degree of a, that is, if the top-degree part of a does not
+vanish at c = (c_0, c_1, ...), then a constant gcd(phi(a), phi(b)) proves
+gcd(a, b) = 1.  Proof: a common factor G of a and b has G_top(c) != 0,
+since a_top = G_top H_top for a = G H; so deg phi(G) = deg G, and phi(G)
+divides phi(a) and phi(b), hence their gcd; a constant gcd leaves deg G =
+0.  The image is taken with integer arithmetic (`_image`), the real and
+imaginary parts of the operands separately, and its gcd with one sympy
+`Poly.gcd` in one generator, over QQ when both operands are real,
+otherwise over QQ_I.  The answer is then the unit 1, exactly what the full
+gcd returns for coprime operands.  When the degree condition fails, the
+image gcd is not constant, or there are more variables than LINE has
+lines, nothing is proved, and the operands take sympy's gcd in all n
+variables.  So the certificate can cost time but never changes a result.
+
+On the command line only gamma-check and radial reach sympy: each run
+makes one gcd, of the coprime numerator N and denominator D inside
+radial.gamma_closed_form, and no sympy division; every other gcd and
+division on a command path has a constant operand.  The certificate holds
+for N and D of every gl(m|n) up to gl(4|3) (gl(1|1) takes no gcd): each
+run's one sympy gcd is univariate, over QQ.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from sympy import Poly, symbols
 from sympy.polys.domains import QQ, QQ_I
@@ -113,18 +124,95 @@ def _unit_normalized(terms: dict) -> dict:
     return {e: v * inv for e, v in terms.items()}
 
 
-def _is_homogeneous(terms: dict) -> bool:
-    """True when every exponent vector has one total degree."""
-    return len({sum(e) for e in terms}) == 1
+# the line x_k = c_k y + d_k of the coprimality certificate, one (c_k, d_k)
+# per variable; no structured table (small primes, c_k = k + 1) will do,
+# since the gamma images are products of linear factors in y whose roots
+# then collide
+LINE = ((3, 7), (5, -2), (-4, 9), (7, 3), (2, -11), (-6, 5), (9, 4), (-5, -8), (11, 6), (8, -13))
+
+
+def _image(terms: dict, g: list) -> list:
+    """terms(x_k^(1/g_k) at x_k = c_k y + d_k), for integer terms whose
+    exponents of x_k are multiples of g_k, as integer coefficients in y,
+    lowest first, with no trailing zero.
+
+    The image is evaluated at y = 2^bits, one variable after another
+    through a table of the line's powers, and its coefficients are read
+    back as signed base-2^bits digits.  Each |coefficient| is at most the
+    sum of the |terms| times max(|c_k| + |d_k|) to the total degree, below
+    2^(bits - 1), so no two digits overlap."""
+    n = len(g)
+    size = sum(abs(v) for v in terms.values())
+    if not size:
+        return []
+    reach = max(abs(c) + abs(d) for c, d in LINE[:n])
+    bits = (size * reach ** (max(map(sum, terms)) // min(g))).bit_length() + 1
+    level = terms
+    for k in reversed(range(n)):
+        c, d = LINE[k]
+        powers = [1, (c << bits) + d]
+        out = {}
+        for e, v in level.items():
+            j = e[-1] // g[k]
+            while len(powers) <= j:
+                powers.append(powers[-1] * powers[1])
+            prefix = e[:-1]
+            out[prefix] = out.get(prefix, 0) + v * powers[j]
+        level = out
+    value, half, mask = level[()], 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    while value:
+        r = value & mask
+        if r >= half:
+            r -= mask + 1
+        digits.append(r)
+        value = (value - r) >> bits
+    return digits
+
+
+def _images(terms: dict, g: list) -> tuple:
+    """`_image` of the real and of the imaginary part of terms, both
+    scaled by one common denominator."""
+    parts = [c.parts() for c in terms.values()]
+    den = lcm(*(d for _, _, d in parts))
+    return tuple(_image({e: p[i] * (den // p[2]) for e, p in zip(terms, parts)}, g)
+                 for i in (0, 1))
+
+
+def _univariate(re: list, im: list, domain) -> Poly:
+    """re + i im, coefficient lists lowest first, as a Poly in one
+    generator over QQ (im then empty) or QQ_I."""
+    if domain is QQ:
+        return Poly.from_list(re[::-1], _gens(1)[0], domain=QQ)
+    width = max(len(re), len(im))
+    re, im = re + [0] * (width - len(re)), im + [0] * (width - len(im))
+    return Poly.from_list([QQ_I(x, w) for x, w in zip(re[::-1], im[::-1])], _gens(1)[0],
+                          domain=QQ_I)
+
+
+def _coprime_by_image(a: dict, b: dict, n: int) -> bool:
+    """True when one univariate image proves gcd(a, b) = 1 (see the module
+    docstring); False proves nothing."""
+    if n > len(LINE):
+        return False
+    g = [gcd(*(e[k] for terms in (a, b) for e in terms)) or 1 for k in range(n)]
+    (a_re, a_im), (b_re, b_im) = _images(a, g), _images(b, g)
+    top = max(sum(x // s for x, s in zip(e, g)) for e in a)
+    if len(a_re) <= top and len(a_im) <= top:
+        return False  # a's top-degree part vanishes at (c_0, ..., c_{n-1})
+    domain = QQ_I if a_im or b_im else QQ
+    image_gcd = _univariate(a_re, a_im, domain).gcd(_univariate(b_re, b_im, domain))
+    return image_gcd.degree() == 0
 
 
 def poly_gcd(a: dict, b: dict, n: int) -> dict:
     """gcd of two polynomial term-dicts, up to a unit; 1 when either is a
     nonzero constant.
 
-    Two homogeneous operands in n > 1 variables are dehomogenized at the
-    last variable, and their gcd in n - 1 variables is homogenized back
-    (see the module docstring)."""
+    Two coprime operands are answered 1 by one univariate image gcd
+    whenever the certificate of the module docstring holds; any other pair
+    takes sympy's gcd in all n variables, over QQ when both are real,
+    otherwise over Z[i]."""
     if not a:
         return dict(b)
     if not b:
@@ -132,22 +220,13 @@ def poly_gcd(a: dict, b: dict, n: int) -> dict:
     if is_unit_dict(a) or is_unit_dict(b):
         return {(0,) * n: ONE}
     an, bn = _unit_normalized(a), _unit_normalized(b)
-    if n == 1 or not (_is_homogeneous(an) and _is_homogeneous(bn)):
-        return _sympy_gcd(an, bn, n)
-    low = min(e[-1] for terms in (an, bn) for e in terms)  # common power of the last variable
-    g = _sympy_gcd({e[:-1]: c for e, c in an.items()}, {e[:-1]: c for e, c in bn.items()}, n - 1)
-    top = max(sum(e) for e in g)
-    return {e + (top - sum(e) + low,): c for e, c in g.items()}
-
-
-def _sympy_gcd(a: dict, b: dict, n: int) -> dict:
-    """sympy's gcd of two unit-normalized term-dicts: over QQ when both are
-    real, otherwise over Z[i]."""
-    if _is_real(a) and _is_real(b):
-        return _from_poly_real(_to_poly_real(a, n).gcd(_to_poly_real(b, n)))
+    if _coprime_by_image(an, bn, n):
+        return {(0,) * n: ONE}
+    if _is_real(an) and _is_real(bn):
+        return _from_poly_real(_to_poly_real(an, n).gcd(_to_poly_real(bn, n)))
     # the gcd is up to a scalar, so clearing denominators changes nothing
-    a_zi = _to_poly(a, n).clear_denoms(convert=True)[1]
-    b_zi = _to_poly(b, n).clear_denoms(convert=True)[1]
+    a_zi = _to_poly(an, n).clear_denoms(convert=True)[1]
+    b_zi = _to_poly(bn, n).clear_denoms(convert=True)[1]
     return _from_poly(a_zi.gcd(b_zi))
 
 

@@ -22,9 +22,10 @@ certified as the cleared-denominator Laurent identity
 
 with no gcd.  On the radial and gamma-check paths sympy is reached only
 while gamma_closed_form builds gamma as a canonical TorusRational: one gcd
-of the numerator and denominator polynomials (_polytools).  They are
-coprime, so the gcd is a unit and dividing by it is a scaling that never
-reaches sympy.  TorusLaplacian.apply and apply_radial_C2 work in
+of the numerator and denominator polynomials (_polytools), which are
+coprime.  It is proved a unit by the univariate gcd of their images on a
+line, so sympy sees one variable, and dividing by the unit is a scaling
+that never reaches sympy.  TorusLaplacian.apply and apply_radial_C2 work in
 TorusRational and reach it as well.  Once L(j) = c j holds, the radial
 part of the order-two Casimir acts as
 

@@ -104,30 +104,36 @@ class TestGammaClosedForm:
             assert v1 == v2
 
 
-def _record_sympy_gcds(monkeypatch, depth=None):
+def _record_sympy_gcds(monkeypatch, key):
     """Wrap Poly.gcd, as the benchmark's tracer does, and return the list to
-    which each call appends (its generator count, the poly_gcd depth)."""
+    which each call appends key(poly)."""
     calls, gcd = [], vars(Poly)["gcd"]
 
     def counting(poly, *args, **kwargs):
-        calls.append((len(poly.gens), depth[0] if depth else None))
+        calls.append(key(poly))
         return gcd(poly, *args, **kwargs)
 
     monkeypatch.setattr(Poly, "gcd", counting)
     return calls
 
 
-class TestGammaGcd:
-    """N and D of the closed form are homogeneous, so their one sympy gcd
-    runs on the root lattice, in rank - 1 generators."""
+def _shape(poly):
+    return len(poly.gens), str(poly.domain)
 
-    @pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2)])
-    def test_the_gamma_gcd_drops_one_generator(self, m, n, monkeypatch):
+
+class TestGammaGcd:
+    """N and D of the closed form are coprime, and their one sympy gcd is
+    the univariate gcd of their images on a line, over QQ."""
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2),
+                                      (2, 3), (4, 1), (1, 4), (3, 3)])
+    def test_the_gamma_gcd_is_one_univariate_qq_gcd(self, m, n, monkeypatch):
         _, _, rs = build_gl(m, n)
         gamma_closed_form.cache_clear()
-        calls = _record_sympy_gcds(monkeypatch)
+        calls = _record_sympy_gcds(monkeypatch, _shape)
         gamma_closed_form(rs)
-        assert calls == [(rs.rank - 1, None)]
+        # gl(1|1) has no even positive root: N is a constant, which takes no gcd
+        assert calls == ([] if (m, n) == (1, 1) else [(1, "QQ")])
 
     def test_radial_pass_takes_one_sympy_gcd_inside_one_poly_gcd(self, monkeypatch, capsys):
         # every binding of poly_gcd is wrapped, so a poly_gcd that called
@@ -144,7 +150,7 @@ class TestGammaGcd:
 
         for module in (_polytools, torus):
             monkeypatch.setattr(module, "poly_gcd", spanned)
-        calls = _record_sympy_gcds(monkeypatch, depth)
+        calls = _record_sympy_gcds(monkeypatch, lambda poly: (len(poly.gens), depth[0]))
         gamma_closed_form.cache_clear()
         for algebra in ("gl:2,1", "gl:1,2"):
             argv = ["radial", "--algebra", algebra, "--points", "2", "--weights", "10",
@@ -152,27 +158,26 @@ class TestGammaGcd:
             assert cli.main(argv) == 0
         capsys.readouterr()
         assert spans and set(spans) == {1}
-        assert calls == [(2, 1), (2, 1)]
+        assert calls == [(1, 1), (1, 1)]
 
-    @pytest.mark.parametrize("argv, rank", [
-        (["gamma-check", "--algebra", "gl:2,2", "--points", "4", "--seed", "1"], 4),
-        (["radial", "--algebra", "gl:3,2", "--points", "2", "--weights", "21", "--seed", "1"], 5),
+    @pytest.mark.parametrize("argv", [
+        ["gamma-check", "--algebra", "gl:2,2", "--points", "4", "--seed", "1"],
+        ["radial", "--algebra", "gl:3,2", "--points", "2", "--weights", "21", "--seed", "1"],
     ], ids=["gamma-check", "radial"])
-    def test_a_run_makes_one_sympy_gcd_and_no_sympy_division(self, argv, rank, monkeypatch,
-                                                              capsys):
+    def test_a_run_makes_one_sympy_gcd_and_no_sympy_division(self, argv, monkeypatch, capsys):
         # the gcd of the coprime N and D is a unit, so no division by it
         # reaches sympy
         seen = {"gcd": [], "div": []}
         for name, calls in seen.items():
             def counting(poly, *args, _method=vars(Poly)[name], _calls=calls, **kwargs):
-                _calls.append((len(poly.gens), str(poly.domain)))
+                _calls.append(_shape(poly))
                 return _method(poly, *args, **kwargs)
 
             monkeypatch.setattr(Poly, name, counting)
         gamma_closed_form.cache_clear()
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert seen == {"gcd": [(rank - 1, "QQ")], "div": []}
+        assert seen == {"gcd": [(1, "QQ")], "div": []}
 
 
 class TestGammaOracle:
